@@ -11,8 +11,9 @@ The package splits into:
 - ``matrices``: exact 2x2 integer matrices over the projective group,
   trace classification, and the conjugation symmetry check.
 - ``compositions``: the counting engine (all compositions, bounded
-  parts, exact excursion counts) on top of shared dynamic-programming
-  tables.
+  parts, exact excursion counts), one generating function read by
+  recurrences that hold at most the last D+1 census rows, so memory is
+  O(D * row) and bounded by the request.
 - ``spectral``: growth rates as certified root enclosures, closed-form
   counts, limit constants, and rigorous two-sided bounds.
 - ``census``: the verification harness tying enumeration oracles to the

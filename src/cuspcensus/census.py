@@ -30,6 +30,7 @@ import mpmath
 
 from .compositions import (
     binomial,
+    census_row,
     count_all,
     count_bounded,
     count_exact_excursions,
@@ -138,10 +139,7 @@ def excursion_census(t: int, D: int) -> list[CensusRow]:
         raise ValueError(f"t must be >= 1, got {t}")
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    return [
-        CensusRow(t, D, n, count_exact_excursions(t, n, D), "dp")
-        for n in range(t // (D + 1) + 1)
-    ]
+    return [CensusRow(t, D, n, count, "dp") for n, count in enumerate(census_row(t, D))]
 
 
 def _signs_of_mask(t: int, mask: int) -> tuple[int, ...]:
@@ -470,8 +468,8 @@ def suite_thm32(
     mismatches = sum(
         1
         for t in range(1, exact_t_max + 1)
-        for n in range(t // 2 + 1)
-        if count_exact_excursions(t, n, 1) != binomial(t, 2 * n)
+        for row in excursion_census(t, 1)
+        if row.count != binomial(t, 2 * row.n)
     )
     checks.append(
         _within("depth1_exact_sweep_mismatches", (exact_t_max,), mismatches, 0, 0)

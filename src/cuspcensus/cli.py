@@ -5,12 +5,15 @@ Three output formats: a human-readable aligned table (default), json-lines,
 and csv.  Exact counts are serialized as decimal strings in the machine
 formats so they round-trip losslessly; floating-point fields carry an
 explicit digits-of-precision companion field.  Output is byte-identical
-across runs with the same arguments.
+across runs with the same arguments.  Json-lines and csv records are
+written as they are emitted; the table format is written at the end,
+once its column widths are known.
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import math
 import sys
@@ -31,19 +34,36 @@ from .spectral import bounds_two_excursions, coefficient_d, limit_constant, solv
 from .words import EpsilonSeq, reciprocal_word
 
 
+_JSON = json.JSONEncoder(separators=(", ", ": "))
+
+
+def _int_str(n: int) -> str:
+    """Exact decimal digits of n.
+
+    str() refuses integers longer than the interpreter's digit limit
+    (4300 digits by default); Decimal converts any integer exactly, so
+    large counts are serialized without changing that process-wide limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
+def _fixed_point(q: int, digits: int) -> str:
+    """q / 10^digits as a fixed-point string with exactly digits decimals."""
+    sign, q = ("-", -q) if q < 0 else ("", q)
+    whole, frac = divmod(q, 10**digits)
+    return f"{sign}{_int_str(whole)}.{_int_str(frac).zfill(digits)}"
+
+
 def _decimal_floor(x: Fraction, digits: int) -> str:
     """Largest multiple of 10^-digits at most x, as a fixed-point string."""
-    scale = 10**digits
-    q = math.floor(x * scale)
-    sign, q = ("-", -q) if q < 0 else ("", q)
-    return f"{sign}{q // scale}.{q % scale:0{digits}d}"
+    return _fixed_point(math.floor(x * 10**digits), digits)
 
 
 def _decimal_ceil(x: Fraction, digits: int) -> str:
-    scale = 10**digits
-    q = math.ceil(x * scale)
-    sign, q = ("-", -q) if q < 0 else ("", q)
-    return f"{sign}{q // scale}.{q % scale:0{digits}d}"
+    return _fixed_point(math.ceil(x * 10**digits), digits)
 
 
 def _number_token(value, digits: int) -> str:
@@ -52,57 +72,64 @@ def _number_token(value, digits: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
-        return str(value)
+        return _int_str(value)
     if isinstance(value, Fraction):
-        return str(value)
+        if value.denominator == 1:
+            return _int_str(value.numerator)
+        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
     return f"{value:.{digits}g}"
 
 
 class Emitter:
-    """Collects records with a fixed column set, then writes them in the
-    requested format.  Buffering keeps human tables aligned and makes the
-    byte-determinism of the output easy to reason about."""
+    """Writes records with a fixed column set in the requested format.
+
+    Json-lines and csv are streamed, one line per record, so output starts
+    at once and memory does not grow with the record count; csv writes
+    its header with the first record.  The human table is buffered until
+    close, because its columns are aligned to the widest cell.
+    """
 
     def __init__(self, fmt: str, digits: int, out):
         self.fmt = fmt
         self.digits = digits
         self.out = out
         self.records: list[dict] = []
+        self.keys: Optional[list[str]] = None
 
     def emit(self, record: dict) -> None:
-        self.records.append(record)
+        if self.fmt == "json-lines":
+            self.out.write(_JSON.encode(record) + "\n")
+        elif self.fmt == "csv":
+            if self.keys is None:
+                self.keys = list(record)
+                self.out.write(",".join(self.keys) + "\n")
+            self.out.write(
+                ",".join("" if record[k] is None else str(record[k]) for k in self.keys)
+                + "\n"
+            )
+        else:
+            self.records.append(record)
 
     def close(self) -> None:
         if not self.records:
             return
-        if self.fmt == "json-lines":
-            for rec in self.records:
-                self.out.write(json.dumps(rec, separators=(", ", ": ")) + "\n")
-        elif self.fmt == "csv":
-            keys = list(self.records[0])
-            self.out.write(",".join(keys) + "\n")
-            for rec in self.records:
-                self.out.write(
-                    ",".join("" if rec[k] is None else str(rec[k]) for k in keys) + "\n"
-                )
-        else:
-            keys = list(self.records[0])
-            cells = [
-                [("-" if rec[k] is None else str(rec[k])) for k in keys]
-                for rec in self.records
-            ]
-            widths = [
-                max(len(k), max(len(row[i]) for row in cells))
-                for i, k in enumerate(keys)
-            ]
+        keys = list(self.records[0])
+        cells = [
+            [("-" if rec[k] is None else str(rec[k])) for k in keys]
+            for rec in self.records
+        ]
+        widths = [
+            max(len(k), max(len(row[i]) for row in cells))
+            for i, k in enumerate(keys)
+        ]
+        self.out.write(
+            "  ".join(k.ljust(widths[i]) for i, k in enumerate(keys)) + "\n"
+        )
+        for row in cells:
             self.out.write(
-                "  ".join(k.ljust(widths[i]) for i, k in enumerate(keys)) + "\n"
+                "  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip()
+                + "\n"
             )
-            for row in cells:
-                self.out.write(
-                    "  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip()
-                    + "\n"
-                )
 
 
 def _float_fields(rec: dict, digits: int, *names: str) -> dict:
@@ -130,7 +157,7 @@ def _cmd_count(args, emitter: Emitter) -> int:
             emitter.emit(
                 {
                     "t": row.t, "D": row.D, "n": row.n,
-                    "count": str(row.count), "source": row.source,
+                    "count": _int_str(row.count), "source": row.source,
                 }
             )
     return 0
@@ -174,7 +201,8 @@ def _cmd_constants(args, emitter: Emitter) -> int:
         emitter.emit(
             {
                 "kind": "depth_one_limit", "D": None, "n": args.n,
-                "lo": str(exact.lo), "hi": str(exact.hi), "digits": None,
+                "lo": _number_token(exact.lo, args.digits),
+                "hi": _number_token(exact.hi, args.digits), "digits": None,
             }
         )
     return 0
@@ -184,7 +212,7 @@ def _cmd_table1(args, emitter: Emitter) -> int:
     for row in table1(args.t, args.D, args.n if args.n is not None else 3):
         rec = {
             "family": row.family, "t": row.t, "D": row.D, "n": row.n,
-            "exact": str(row.exact), "approx": row.approx,
+            "exact": _int_str(row.exact), "approx": row.approx,
         }
         emitter.emit(_float_fields(rec, args.digits, "approx"))
     return 0
@@ -204,7 +232,7 @@ def _cmd_bounds(args, emitter: Emitter) -> int:
             {
                 "t": t, "D": args.D,
                 "lower": _decimal_floor(lo, args.digits),
-                "count": str(count),
+                "count": _int_str(count),
                 "upper": _decimal_ceil(hi, args.digits),
                 "lower_digits": args.digits, "upper_digits": args.digits,
                 "ok": "true" if lo <= count <= hi else "false",

@@ -11,14 +11,34 @@ counting compositions of t.  Three families matter here:
   exactly 2n cusp excursions of depth bigger than D).
 
 Every count is an exact Python integer; this module contains no floating
-point.  Counting tables are memoized per D and grown on demand under a
-lock, so results never depend on call order or thread count.
+point.  The last two families are read off one generating function:
+marking the parts bigger than D with y gives
+
+    sum_{t,n} count(t, n, D) x^t y^n = (1 - x) / (1 - 2x + (1 - y) x^{D+1}),
+
+read in three ways, none of which keeps a table:
+
+* census rows: R_t(y) = sum_n count(t, n, D) y^n obeys
+  R_t = 2 R_{t-1} - (1 - y) R_{t-D-1} for t >= 2, with R_0 = R_1 = 1, so a
+  window of the last D+1 rows gives each row in O(row) steps from the one
+  before, in O(D * row) memory;
+* y = 0: the same recurrence on numbers is the bounded count, O(1) per
+  step;
+* one coefficient of y^n: a recurrence in t alone, of order D+1 (see
+  count_exact_excursions), O(t) steps for any n.
+
+Only the positional double sum (``product_at``, ``two_excursion_sum``)
+keeps memoized tables, since it is the independent route the kernel is
+checked against.  The census cursor is advanced under a lock, so results
+never depend on call order or thread count.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
+from itertools import zip_longest
 from typing import Iterator, Optional
 
 from .words import Composition
@@ -28,10 +48,8 @@ _lock = threading.RLock()
 # D -> [|C_{0,D}|, |C_{1,D}|, ...]
 _bounded: dict[int, list[int]] = {}
 
-# D -> list of columns; column m is [|C_{0}^{m,D}|, |C_{1}^{m,D}|, ...]
-# together with its running prefix sums
-_excursion_cols: dict[int, list[list[int]]] = {}
-_excursion_prefs: dict[int, list[list[int]]] = {}
+# D -> (t, kernel rows from t + 1 on, R_t): where the last census row left off
+_cursors: dict[int, tuple[int, Iterator[list[int]], list[int]]] = {}
 
 # D -> prefix sums of the self-convolution of the bounded counts:
 # entry s is sum_{u<=s} sum_{i+j=u} |C_{i,D}| |C_{j,D}|
@@ -62,51 +80,78 @@ def _grown_bounded(D: int, upto: int) -> list[int]:
     return row
 
 
-def count_bounded(t: int, D: int) -> int:
-    """Number of compositions of t with all parts at most D.
-
-    Satisfies |C_{t,D}| = sum_{i=1}^{D} |C_{t-i,D}| with |C_{0,D}| = 1.
-
-    >>> [count_bounded(t, 2) for t in range(7)]
-    [1, 1, 2, 3, 5, 8, 13]
-    """
+def _check_args(t: int, D: int) -> None:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
+
+
+def _rows(D: int) -> Iterator[list[int]]:
+    """Yield R_0, R_1, R_2, ...: entry n of R_t is the number of
+    compositions of t with exactly n parts bigger than D.  Only the last
+    D+1 rows are held."""
+    window = deque([[]] * D + [[1]], maxlen=D + 1)  # R_{-D}, ..., R_0
+    yield [1]
+    window.append([1])
+    yield [1]
+    while True:
+        # R_t = 2 R_{t-1} - R_{t-D-1} + y R_{t-D-1}
+        back, prev = window[0], window[-1]
+        row = [
+            2 * p - b + c
+            for p, b, c in zip_longest(prev, back, [0] + back, fillvalue=0)
+        ]
+        window.append(row)
+        yield row
+
+
+def count_bounded(t: int, D: int) -> int:
+    """Number of compositions of t with all parts at most D.
+
+    Satisfies |C_{t,D}| = sum_{i=1}^{D} |C_{t-i,D}| with |C_{0,D}| = 1.
+    Computed as the kernel at y = 0, the three-term recurrence
+    |C_{t,D}| = 2 |C_{t-1,D}| - |C_{t-D-1,D}|, in O(t) steps and O(D)
+    memory.
+
+    >>> [count_bounded(t, 2) for t in range(7)]
+    [1, 1, 2, 3, 5, 8, 13]
+    """
+    _check_args(t, D)
+    if t <= D:
+        return count_all(t)
+    # ring[s % (D+1)] holds |C_{s,D}| for the last D+1 values of s
+    ring = [count_all(s) for s in range(D + 1)]
+    last = ring[D]
+    for s in range(D + 1, t + 1):
+        i = s % (D + 1)
+        last = ring[i] = 2 * last - ring[i]
+    return last
+
+
+def census_row(t: int, D: int) -> list[int]:
+    """Counts of the compositions of t by their number of parts bigger
+    than D: entry n is count_exact_excursions(t, n, D), for
+    n = 0..t // (D+1).
+
+    One cursor per D remembers the last row served.  A larger t resumes
+    from it, so an ascending sweep costs one kernel step per t; a smaller
+    t restarts from t = 0.
+
+    >>> census_row(7, 1)
+    [1, 21, 35, 7]
+    >>> census_row(4, 2)
+    [5, 3]
+    """
+    _check_args(t, D)
     with _lock:
-        return _grown_bounded(D, t)[t]
-
-
-def _grown_excursion(D: int, n: int, upto: int) -> list[list[int]]:
-    cols = _excursion_cols.setdefault(D, [])
-    prefs = _excursion_prefs.setdefault(D, [])
-    if not cols:
-        cols.append([])
-        prefs.append([])
-    # column 0 is the bounded count
-    bounded = _grown_bounded(D, upto)
-    col0, pref0 = cols[0], prefs[0]
-    while len(col0) <= upto:
-        s = len(col0)
-        col0.append(bounded[s])
-        pref0.append(col0[s] + (pref0[s - 1] if s else 0))
-    for m in range(1, n + 1):
-        if m == len(cols):
-            cols.append([0])
-            prefs.append([0])
-        col, pref = cols[m], prefs[m]
-        below = prefs[m - 1]
-        while len(col) <= upto:
-            s = len(col)
-            # first part of size 1..D keeps m; size D+1..s consumes one
-            # large part, leaving any arrangement counted by column m-1
-            v = sum(col[s - i] for i in range(1, min(D, s) + 1))
-            if s >= D + 1:
-                v += below[s - D - 1]
-            col.append(v)
-            pref.append(v + pref[s - 1])
-    return cols
+        at, rows, row = _cursors.get(D) or (-1, _rows(D), [])
+        if t < at:
+            at, rows = -1, _rows(D)
+        for at in range(at + 1, t + 1):
+            row = next(rows)
+        _cursors[D] = (t, rows, row)
+        return list(row)
 
 
 def count_exact_excursions(t: int, n: int, D: int) -> int:
@@ -115,6 +160,15 @@ def count_exact_excursions(t: int, n: int, D: int) -> int:
     Each such composition is the run sequence of a reciprocal geodesic of
     word length 4t making exactly 2n excursions of depth bigger than D.
 
+    This is coefficient n of the kernel in y alone:
+    [y^n] (1 - x) / (1 - 2x + (1 - y) x^{D+1}) = (1 - x) x^{n(D+1)} / P^{n+1}
+    with P = 1 - 2x + x^{D+1}.  The series F = P^{-(n+1)} = sum_m a_m x^m
+    obeys P F' = -(n+1) P' F, that is
+    (m+1) a_{m+1} = 2 (m+n+1) a_m - (m+n(D+1)+1) a_{m-D},
+    where the division is exact since every a_m is an integer.  The count
+    is a_M - a_{M-1} with M = t - n(D+1): O(t) steps and O(D) memory for
+    every n.
+
     >>> count_exact_excursions(7, 2, 1)
     35
     >>> count_exact_excursions(5, 1, 2)
@@ -122,16 +176,20 @@ def count_exact_excursions(t: int, n: int, D: int) -> int:
     >>> count_exact_excursions(4, 0, 2) == count_bounded(4, 2)
     True
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _check_args(t, D)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
     if n * (D + 1) > t:
         return 0
-    with _lock:
-        return _grown_excursion(D, n, t)[n][t]
+    k = n * (D + 1) + 1
+    # ring[m % (D+1)] holds a_m for the last D+1 values of m
+    ring = [1] + [0] * D
+    before, last = 0, 1
+    for m in range(t - n * (D + 1)):
+        i = (m + 1) % (D + 1)
+        before, last = last, (2 * (m + n + 1) * last - (m + k) * ring[i]) // (m + 1)
+        ring[i] = last
+    return last - before
 
 
 def binomial(t: int, k: int) -> int:

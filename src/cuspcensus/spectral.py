@@ -234,8 +234,9 @@ def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosu
     """Certified enclosure of alpha_D, of width at most tol.
 
     >>> a = solve_alpha(2, Fraction(1, 10**9))
-    >>> round(float(a.lo), 9)
-    1.618033989
+    >>> golden = (1 + Fraction(math.isqrt(5 * 10**40), 10**20)) / 2
+    >>> a.lo < golden < a.hi and a.hi - a.lo <= Fraction(1, 10**9)
+    True
     """
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspcensus.cli import main
+from cuspcensus.cli import Emitter, main
 
 
 def run(argv):
@@ -197,3 +197,25 @@ def test_out_file(tmp_path):
     lines = target.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "t,D,n,count,source"
     assert sum(int(line.split(",")[3]) for line in lines[1:]) == 2**8
+
+
+def test_table1_counts_beyond_int_digit_limit():
+    # 2^19999 has 6021 digits, past str(int)'s default 4300-digit limit
+    code, out, err = run(["table1", "--t", "20000", "--D", "2", "--format", "json-lines"])
+    assert code == 0, err
+    exact = json.loads(out.splitlines()[0])["exact"]
+    assert len(exact) == 6021
+    assert exact[-50:] == str(pow(2, 19999, 10**50)).zfill(50)
+
+
+def test_machine_formats_stream_and_table_waits_for_close():
+    for fmt, expected in (("json-lines", '{"t": 1, "n": null}\n'), ("csv", "t,n\n1,\n")):
+        out = io.StringIO()
+        Emitter(fmt, 12, out).emit({"t": 1, "n": None})
+        assert out.getvalue() == expected, fmt
+    out = io.StringIO()
+    emitter = Emitter("table", 12, out)
+    emitter.emit({"t": 1, "n": None})
+    assert out.getvalue() == ""
+    emitter.close()
+    assert out.getvalue() == "t  n\n1  -\n"

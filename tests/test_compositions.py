@@ -1,14 +1,19 @@
 """Tests for compositions: counts, identities, oracle enumeration."""
 
 import itertools
+import math
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspcensus.census import excursion_census
 from cuspcensus.compositions import (
     RangeError,
     binomial,
+    census_row,
     count_all,
     count_bounded,
     count_exact_excursions,
@@ -269,3 +274,64 @@ def test_counts_deterministic_under_threads():
         results = list(ex.map(lambda td: count_bounded(*td), grid))
     for (t, D), v in zip(grid, results):
         assert v == sum(count_bounded(t - i, D) for i in range(1, D + 1))
+
+
+# -- generating-function kernel ---------------------------------------------------
+
+
+@given(st.integers(1, 14), st.integers(0, 8), st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_enumeration(t, n, D):
+    expected = sum(
+        1 for c in enumerate_compositions(t) if sum(1 for p in c.parts if p > D) == n
+    )
+    assert count_exact_excursions(t, n, D) == expected
+    rows = excursion_census(t, D)
+    assert [r.n for r in rows] == list(range(t // (D + 1) + 1))
+    cell = rows[n].count if n < len(rows) else 0
+    assert cell == expected
+
+
+@given(st.integers(1, 200), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_kernel_single_excursion_row_is_double_sum(t, D):
+    row = census_row(t, D)
+    assert (row[1] if len(row) > 1 else 0) == two_excursion_sum(t, D)
+
+
+@given(st.integers(0, 300))
+@settings(max_examples=60, deadline=None)
+def test_kernel_depth_one_rows_are_binomial(t):
+    assert census_row(t, 1) == [math.comb(t, 2 * n) for n in range(t // 2 + 1)]
+
+
+@given(
+    st.lists(st.integers(0, 80), min_size=1, max_size=12),
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_rows_independent_of_request_order(ts, D, rng):
+    ascending = {t: census_row(t, D) for t in sorted(ts)}
+    descending = {t: census_row(t, D) for t in sorted(ts, reverse=True)}
+    shuffled = list(ts)
+    rng.shuffle(shuffled)
+    assert {t: census_row(t, D) for t in shuffled} == ascending == descending
+    for t, row in ascending.items():
+        assert row == [count_exact_excursions(t, n, D) for n in range(len(row))]
+
+
+def test_census_cursor_shared_between_threads():
+    # every request moves the shared cursor for D = 3; a lost update
+    # would hand some thread the row of another t
+    ts = list(range(120)) * 2
+    random.Random(7).shuffle(ts)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            rows = list(ex.map(lambda t: census_row(t, 3), ts, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for t, row in zip(ts, rows):
+        assert row == [count_exact_excursions(t, n, 3) for n in range(t // 4 + 1)]
