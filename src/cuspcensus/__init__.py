@@ -56,6 +56,7 @@ from .spectral import (
     PrecisionExhausted,
     RatInterval,
     bounds_two_excursions,
+    bounds_two_excursions_range,
     closed_form_count,
     coefficient_d,
     excursion_term_report,
@@ -99,6 +100,7 @@ __all__ = [
     "Table1Row",
     "VerificationReport",
     "bounds_two_excursions",
+    "bounds_two_excursions_range",
     "canonical_cyclic_form",
     "classify",
     "closed_form_count",

@@ -23,10 +23,9 @@ import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import mpmath
 
 from .compositions import (
     binomial,
@@ -239,13 +238,21 @@ def oracle_census(
     ]
 
 
+# mpmath is imported by the diagnostic functions that use it, not with the
+# package: the counting and certified paths never need it
+
+
 def _to_mpf(x: Fraction):
+    import mpmath
+
     return mpmath.mpf(x.numerator) / x.denominator
 
 
 def _ratio_to_limit(count: int, t: int, power_base: Fraction, t_factor: bool) -> float:
     """count/(t * base^t) or count/base^t in log space; exact inputs, one
     floating-point exponential at the end."""
+    import mpmath
+
     ln = mpmath.log(mpmath.mpf(count)) - t * mpmath.log(_to_mpf(power_base))
     if t_factor:
         ln -= mpmath.log(t)
@@ -303,6 +310,8 @@ def verify_theorem_two_excursions(
         raise ValueError(f"D must be >= 2, got {D}")
     if list(t_list) != sorted(set(t_list)) or not t_list:
         raise ValueError("t_list must be nonempty and strictly ascending")
+    import mpmath
+
     alpha = solve_alpha(D, _ALPHA_TOL)
     limit = float(limit_constant("two_excursions_D", D).midpoint())
     errors = []
@@ -324,14 +333,28 @@ def verify_theorem_two_excursions(
 
 @dataclass(frozen=True)
 class Table1Row:
-    """One family row of the headline growth table."""
+    """One family row of the headline growth table.
+
+    approx is a float, or a Decimal of RATIO_DPS significant digits when
+    the value lies beyond the float range.
+    """
 
     family: str
     t: int
     D: Optional[int]
     n: Optional[int]
     exact: int
-    approx: Optional[float]
+    approx: Optional[Union[float, Decimal]]
+
+
+def _approx(x) -> Union[float, Decimal]:
+    """An mpf as a float, or as a Decimal where float() would overflow."""
+    import mpmath
+
+    value = float(x)
+    if math.isinf(value):
+        return Decimal(mpmath.nstr(x, RATIO_DPS))
+    return value
 
 
 def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
@@ -345,6 +368,8 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
         raise ValueError(f"D must be >= 2, got {D}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    import mpmath
+
     alpha_mid = solve_alpha(D, _ALPHA_TOL).interval().midpoint()
     d_mid = coefficient_d(D, _ALPHA_TOL).midpoint()
     limit_mid = limit_constant("two_excursions_D", D).midpoint()
@@ -355,7 +380,7 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
             Table1Row("all", t, None, None, count_all(t), None),
             Table1Row(
                 "low_lying", t, D, None,
-                count_bounded(t, D), float(_to_mpf(d_mid) * power),
+                count_bounded(t, D), _approx(_to_mpf(d_mid) * power),
             ),
         ]
         for n in range(1, n_max + 1):
@@ -363,14 +388,14 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
                 Table1Row(
                     "depth_one", t, 1, n,
                     binomial(t, 2 * n),
-                    float(mpmath.mpf(t) ** (2 * n) / math.factorial(2 * n)),
+                    _approx(mpmath.mpf(t) ** (2 * n) / math.factorial(2 * n)),
                 )
             )
         rows.append(
             Table1Row(
                 "two_excursions", t, D, 1,
                 count_exact_excursions(t, 1, D),
-                float(_to_mpf(limit_mid) * t * power),
+                _approx(_to_mpf(limit_mid) * t * power),
             )
         )
     return rows

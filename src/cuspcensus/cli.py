@@ -16,6 +16,7 @@ import argparse
 import decimal
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -30,7 +31,9 @@ from .census import (
     table1,
 )
 from .compositions import enumerate_compositions
-from .spectral import bounds_two_excursions, coefficient_d, limit_constant, solve_alpha
+from .spectral import (
+    bounds_two_excursions_range, coefficient_d, limit_constant, solve_alpha,
+)
 from .words import EpsilonSeq, reciprocal_word
 
 
@@ -132,13 +135,22 @@ class Emitter:
             )
 
 
+def _general_format(value, digits: int) -> str:
+    """A float, or a Decimal beyond the float range, in the style of
+    format(value, f".{digits}g"): rounded to `digits` significant digits,
+    trailing zeros dropped."""
+    if isinstance(value, decimal.Decimal):
+        value = decimal.Context(prec=digits).normalize(value)
+    return f"{value:.{digits}g}"
+
+
 def _float_fields(rec: dict, digits: int, *names: str) -> dict:
     """Format the named float fields at the declared precision and attach
     the precision marker."""
     out = dict(rec)
     for name in names:
         if out.get(name) is not None:
-            out[name] = f"{out[name]:.{digits}g}"
+            out[name] = _general_format(out[name], digits)
             out[f"{name}_digits"] = digits
         else:
             out[f"{name}_digits"] = None
@@ -225,8 +237,7 @@ def _cmd_bounds(args, emitter: Emitter) -> int:
         raise ValueError("bounds needs --t or --t-max")
     t_lo = args.t if args.t is not None else 1
     t_hi = args.t_max if args.t_max is not None else args.t
-    for t in range(t_lo, t_hi + 1):
-        lo, hi = bounds_two_excursions(t, args.D)
+    for t, lo, hi in bounds_two_excursions_range(t_lo, t_hi, args.D):
         count = count_exact_excursions(t, 1, args.D)
         emitter.emit(
             {
@@ -369,19 +380,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one subcommand.  Exit status: 0 when it ran (also when the
+    reader of stdout closed it early, as `| head` does), 1 when a
+    verification suite failed, 2 on a usage or input error."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.digits < 1:
         parser.error("--digits must be >= 1")
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     emitter = Emitter(args.format, args.digits, out)
     try:
         code = args.func(args, emitter)
         emitter.close()
+        out.flush()
         return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # nothing more can be written; point stdout at the null device so
+        # the interpreter's flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     finally:
         if args.out:
             out.close()

@@ -8,8 +8,21 @@ is the unique positive root of
 and d_D = (alpha_D - 1)/(2 + (D+1)(alpha_D - 2)).  Remarkably the rounded
 value rnd(d_D * alpha_D^t), rnd(x) = floor(x + 1/2), reproduces the exact
 integer count.  Everything in this module that feeds such exact claims is
-computed with certified enclosures: exact-rational bisection for alpha_D,
-and outward-rounded interval arithmetic on top of it.  No floating point
+computed with certified enclosures.  The hot paths work on scaled
+integers, a real x being held as integers lo <= x * 2^k <= hi:
+
+- alpha_D is bracketed by bisection on integers over 2^(D-1+steps); the
+  sign of p_D at a midpoint m/2^k is the sign of the integer
+  2^(kD) p_D(m/2^k), evaluated by Horner's rule.
+- alpha_D^t is formed by binary powering at 2^-(steps+64), every product
+  rounded down for the lower end and up for the upper end, and d_D by
+  floor and ceiling division, so each rounding is directed outward.
+- The geometric sums behind the two-excursion bounds are accumulated per
+  request in the same form: powers rounded outward, sums exact.
+
+The only state kept between calls is one bracket, two integers, per
+(D, steps).  The derived constants and the last step of the bounds use
+``RatInterval``, exact rational interval arithmetic.  No floating point
 enters any certified path.
 
 The one exception is the diagnostic term report at the bottom, which
@@ -26,9 +39,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-import mpmath
+from typing import Iterator, Union
 
 from .compositions import count_bounded
 
@@ -39,18 +50,11 @@ REPORT_DPS = 64
 
 _HALF = Fraction(1, 2)
 
-_lock = threading.RLock()
+_lock = threading.Lock()
 
-# (D, steps) -> (lo, hi) after exactly `steps` bisection steps
-_alpha_cache: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-
-# (D, steps) -> list of outward-rounded interval powers of alpha
-_power_cache: dict[tuple[int, int], list] = {}
-
-# (D, steps) -> incremental geometric sums for the two-excursion bounds:
-# lists G, W, GG with G[N] = sum alpha^u, W[N] = sum (u+1) alpha^u,
-# GG[N] = sum_{u<=N} G[u], all over u = 0..N, as intervals
-_sum_cache: dict[tuple[int, int], tuple[list, list, list]] = {}
+# (D, steps) -> (lo, hi), integers over 2^(D-1+steps): the bracket after
+# exactly `steps` bisection steps
+_brackets: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 class PrecisionExhausted(RuntimeError):
@@ -191,8 +195,17 @@ def poly_value(D: int, z: RationalLike) -> Fraction:
     return acc
 
 
-def _bisect(D: int, steps: int) -> tuple[Fraction, Fraction]:
-    """Bracket after exactly `steps` bisections from [2 - 2^{1-D}, 2].
+def _scaled_poly_value(D: int, m: int, k: int) -> int:
+    """2^(kD) p_D(m/2^k), exactly, by Horner's rule on integers."""
+    acc = 1
+    for j in range(1, D + 1):
+        acc = acc * m - (1 << k * j)
+    return acc
+
+
+def _bracket(D: int, steps: int) -> tuple[int, int]:
+    """Bracket after exactly `steps` bisections from [2 - 2^{1-D}, 2], as
+    integers over 2^(D-1+steps).
 
     The trajectory is a pure function of (D, steps), so cached prefixes can
     be extended without changing any endpoint: determinism is exact, not
@@ -201,24 +214,34 @@ def _bisect(D: int, steps: int) -> tuple[Fraction, Fraction]:
     if steps < 1:
         raise ValueError("at least one bisection step is required")
     with _lock:
-        cached = _alpha_cache.get((D, steps))
+        cached = _brackets.get((D, steps))
         if cached is not None:
             return cached
-        done = max((s for (d, s) in _alpha_cache if d == D and s < steps), default=0)
+        done = max((s for (d, s) in _brackets if d == D and s < steps), default=0)
         if done:
-            lo, hi = _alpha_cache[(D, done)]
+            lo, hi = _brackets[(D, done)]
         else:
-            lo, hi = Fraction(2) - Fraction(1, 1 << (D - 1)), Fraction(2)
+            lo, hi = (1 << D) - 1, 1 << D
+        k = D - 1 + done
         for _ in range(done, steps):
-            mid = (lo + hi) / 2
+            # the midpoint of lo/2^k and hi/2^k is (lo + hi)/2^(k+1);
             # p_D(mid) = 0 cannot occur: the only candidate rational roots
             # of p_D are +-1, and mid lies strictly between 1 and 2
-            if poly_value(D, mid) < 0:
-                lo = mid
+            mid = lo + hi
+            k += 1
+            if _scaled_poly_value(D, mid, k) < 0:
+                lo, hi = mid, hi << 1
             else:
-                hi = mid
-        _alpha_cache[(D, steps)] = (lo, hi)
+                lo, hi = lo << 1, mid
+        _brackets[(D, steps)] = (lo, hi)
         return lo, hi
+
+
+def _bisect(D: int, steps: int) -> tuple[Fraction, Fraction]:
+    """The bracket of ``_bracket`` as exact rationals."""
+    lo, hi = _bracket(D, steps)
+    unit = 1 << (D - 1 + steps)
+    return Fraction(lo, unit), Fraction(hi, unit)
 
 
 def _steps_for(D: int, tol: Fraction) -> int:
@@ -282,26 +305,34 @@ def _quantized_steps(t: int) -> int:
     return 128 * ((t + 65 + 127) // 128)
 
 
-def _alpha_powers(D: int, steps: int, upto: int) -> list[RatInterval]:
-    """Outward-rounded interval powers alpha^0..alpha^upto, cached."""
-    bits = steps + 64
-    with _lock:
-        powers = _power_cache.setdefault((D, steps), [RatInterval.point(1)])
-        if len(powers) <= upto:
-            alpha = RatInterval(*_bisect(D, steps))
-            while len(powers) <= upto:
-                powers.append((powers[-1] * alpha).outward(bits))
-        return powers
+def _rescale(n: int, shift: int, up: bool) -> int:
+    """n / 2^shift, rounded down, or up when `up`; exact when shift <= 0."""
+    if shift <= 0:
+        return n << -shift
+    return -(-n >> shift) if up else n >> shift
+
+
+def _power(base: int, t: int, bits: int, up: bool) -> int:
+    """base^t for base >= 0 an integer over 2^bits, by binary powering with
+    every product rounded down, or up when `up`."""
+    acc = 1 << bits
+    while True:
+        if t & 1:
+            acc = _rescale(acc * base, bits, up)
+        t >>= 1
+        if not t:
+            return acc
+        base = _rescale(base * base, bits, up)
 
 
 def closed_form_count(t: int, D: int) -> int:
     """The rounded closed form rnd(d_D * alpha_D^t), computed with proof.
 
-    The enclosure of d_D * alpha_D^t is refined until it has width below
-    1/2 and contains no half-integer, so floor(x + 1/2) is constant on it;
-    that unique integer is returned.  It must equal count_bounded(t, D);
-    the match is a theorem, not an implementation artifact, which is why
-    the two are computed by unrelated routes.
+    The enclosure of d_D * alpha_D^t is refined until floor(x + 1/2) takes
+    one value on all of it; that unique integer is returned.  It must
+    equal count_bounded(t, D); the match is a theorem, not an
+    implementation artifact, which is why the two are computed by
+    unrelated routes.
 
     >>> closed_form_count(4, 2)
     5
@@ -314,13 +345,24 @@ def closed_form_count(t: int, D: int) -> int:
         raise ValueError(f"D must be >= 2, got {D}")
     steps = _quantized_steps(t)
     for _ in range(8):
-        alpha = RatInterval(*_bisect(D, steps))
-        x = _d_interval(D, alpha) * _alpha_powers(D, steps, t)[t]
-        if x.width < _HALF:
-            n_lo = math.floor(x.lo + _HALF)
-            n_hi = math.floor(x.hi + _HALF)
-            if n_lo == n_hi:
-                return n_lo
+        lo, hi = _bracket(D, steps)
+        k = D - 1 + steps
+        bits = steps + 64
+        power_lo = _power(_rescale(lo, k - bits, False), t, bits, False)
+        power_hi = _power(_rescale(hi, k - bits, True), t, bits, True)
+        # d = (a - 2^k)/(2^(k+1) + (D+1)(a - 2^(k+1))) at alpha = a/2^k;
+        # numerator and denominator rise with alpha and are positive on
+        # the bracket, so the lower end divides at lo by the value at hi
+        num_lo, num_hi = (lo - (1 << k)) << bits, (hi - (1 << k)) << bits
+        den_lo = (2 << k) + (D + 1) * (lo - (2 << k))
+        den_hi = (2 << k) + (D + 1) * (hi - (2 << k))
+        # d alpha^t and 1/2 over 2^(2 bits)
+        x_lo = num_lo // den_hi * power_lo
+        x_hi = -(-num_hi // den_lo) * power_hi
+        half = 1 << (2 * bits - 1)
+        n_lo = (x_lo + half) >> (2 * bits)
+        if n_lo == (x_hi + half) >> (2 * bits):
+            return n_lo
         steps *= 2
     raise PrecisionExhausted(f"rounding of d*alpha^t stayed ambiguous at t={t}, D={D}")
 
@@ -357,21 +399,23 @@ def limit_constant(kind: str, parameter: int) -> ConstantEnclosure:
     raise ValueError(f"unknown limit kind {kind!r}")
 
 
-def _geometric_sums(D: int, steps: int, upto: int) -> tuple[list, list, list]:
-    """Intervals for G(N) = sum alpha^u, W(N) = sum (u+1) alpha^u and
-    GG(N) = sum_{u<=N} G(u), u = 0..N, grown incrementally per (D, steps)."""
-    bits = steps + 64
-    with _lock:
-        one = RatInterval.point(1)
-        g, w, gg = _sum_cache.setdefault((D, steps), ([one], [one], [one]))
-        if len(g) <= upto:
-            powers = _alpha_powers(D, steps, upto)
-            while len(g) <= upto:
-                u = len(g)
-                g.append((g[-1] + powers[u]).outward(bits))
-                w.append((w[-1] + powers[u].scale(u + 1)).outward(bits))
-                gg.append((gg[-1] + g[u]).outward(bits))
-        return g, w, gg
+def _geometric_sums(a: int, k: int, bits: int, up: bool) -> Iterator[tuple[int, int, int]]:
+    """G(N) = sum alpha^u, W(N) = sum (u+1) alpha^u and GG(N) = sum G(u),
+    u = 0..N, for N = 0, 1, 2, ... and alpha = a/2^k, as integers over
+    2^bits.
+
+    Each power alpha^u is alpha^(u-1) * alpha rounded down, or up when
+    `up`; the sums of the rounded powers are exact.
+    """
+    power = g = w = gg = 1 << bits
+    u = 0
+    while True:
+        yield g, w, gg
+        u += 1
+        power = _rescale(power * a, k, up)
+        g += power
+        w += (u + 1) * power
+        gg += g
 
 
 def bounds_two_excursions(t: int, D: int) -> tuple[Fraction, Fraction]:
@@ -387,29 +431,60 @@ def bounds_two_excursions(t: int, D: int) -> tuple[Fraction, Fraction]:
     as interval enclosures; the returned pair is (lower.lo, upper.hi), so
     the sandwich survives the rounding of the evaluation itself.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    ((_, lower, upper),) = bounds_two_excursions_range(t, t, D)
+    return lower, upper
+
+
+def bounds_two_excursions_range(
+    t_lo: int, t_hi: int, D: int
+) -> Iterator[tuple[int, Fraction, Fraction]]:
+    """(t, lower, upper) for t = t_lo..t_hi, each pair as
+    bounds_two_excursions(t, D) returns it.
+
+    The t that share a bisection depth, 128 consecutive values, share one
+    pass over the geometric sums.  The generator holds that pass, so its
+    memory lasts only as long as the request.
+    """
+    if t_lo < 1:
+        raise ValueError(f"t must be >= 1, got {t_lo}")
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
-    n_terms = t - D - 1  # largest u = t - r
-    if n_terms < 0:
-        return Fraction(0), Fraction(0)
-    steps = _quantized_steps(t)
-    alpha = RatInterval(*_bisect(D, steps))
-    d = _d_interval(D, alpha)
-    g, w, gg = _geometric_sums(D, steps, n_terms)
-    # with N = t - D - 1 and sums over u = 0..N:
-    #   s1 = d^2 sum (u+1) alpha^u            (the dominant term)
-    #   s2 = d (alpha G(N) - (N+1))/(alpha-1) (left-of-run geometric part)
-    #   s3 = d GG(N)                          (right-of-run geometric part)
-    #   s4 = (N+1)(N+2)/8                     (the constant 1/4 per cell)
-    s1 = d * d * w[n_terms]
-    s2 = d * (alpha * g[n_terms] - RatInterval.point(n_terms + 1)) / alpha.shift(-1)
-    s3 = d * gg[n_terms]
-    s4 = RatInterval.point(Fraction((n_terms + 1) * (n_terms + 2), 8))
-    lower = s1 - s2.scale(_HALF) - s3.scale(_HALF) + s4
-    upper = s1 + s2.scale(_HALF) + s3.scale(_HALF) + s4
-    return lower.lo, upper.hi
+    depth = None
+    for t in range(t_lo, t_hi + 1):
+        n_terms = t - D - 1  # largest u = t - r
+        if n_terms < 0:
+            yield t, Fraction(0), Fraction(0)
+            continue
+        if _quantized_steps(t) != depth:
+            depth = _quantized_steps(t)
+            lo, hi = _bracket(D, depth)
+            k = D - 1 + depth
+            bits = depth + 64
+            sums = zip(
+                _geometric_sums(lo, k, bits, False), _geometric_sums(hi, k, bits, True)
+            )
+            summed = -1  # the largest N read from sums
+            alpha = RatInterval(*_bisect(D, depth))
+            d = _d_interval(D, alpha)
+        while summed < n_terms:
+            sums_lo, sums_hi = next(sums)
+            summed += 1
+        g, w, gg = (
+            RatInterval(Fraction(low, 1 << bits), Fraction(high, 1 << bits))
+            for low, high in zip(sums_lo, sums_hi)
+        )
+        # with N = t - D - 1 and sums over u = 0..N:
+        #   s1 = d^2 sum (u+1) alpha^u            (the dominant term)
+        #   s2 = d (alpha G(N) - (N+1))/(alpha-1) (left-of-run geometric part)
+        #   s3 = d GG(N)                          (right-of-run geometric part)
+        #   s4 = (N+1)(N+2)/8                     (the constant 1/4 per cell)
+        s1 = d * d * w
+        s2 = d * (alpha * g - RatInterval.point(n_terms + 1)) / alpha.shift(-1)
+        s3 = d * gg
+        s4 = RatInterval.point(Fraction((n_terms + 1) * (n_terms + 2), 8))
+        lower = s1 - s2.scale(_HALF) - s3.scale(_HALF) + s4
+        upper = s1 + s2.scale(_HALF) + s3.scale(_HALF) + s4
+        yield t, lower.lo, upper.hi
 
 
 @dataclass(frozen=True)
@@ -437,6 +512,8 @@ def excursion_term_report(D: int, t_max: int) -> TermReport:
         raise ValueError(f"D must be >= 2, got {D}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
+    import mpmath
+
     with mpmath.workdps(REPORT_DPS):
         enc = solve_alpha(D, Fraction(1, 10**(REPORT_DPS + 4)))
         alpha = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator

@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +107,19 @@ def test_bounds_sandwich_rendered_outward():
     for rec in map(json.loads, out.splitlines()):
         assert rec["ok"] == "true"
         assert Fraction(rec["lower"]) <= int(rec["count"]) <= Fraction(rec["upper"])
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["bounds", "--t", "5000", "--D", "2"],
+     "1e7d99a8e4741b627a8c482b180b011f73e2584a885d9b52631022df5db2b847"),
+    (["bounds", "--t", "1", "--t-max", "600", "--D", "3"],
+     "ca54b97c4eff44ae70f2d23cfd7685cb0b6c92c068c4422b7c804bfc0feef0c1"),
+])
+def test_bounds_output_pinned(argv, digest):
+    # the printed bounds are certified values, pinned here to the digit
+    code, out, _ = run(argv + ["--format", "csv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_enumerate_order_and_words():
@@ -206,6 +224,49 @@ def test_table1_counts_beyond_int_digit_limit():
     exact = json.loads(out.splitlines()[0])["exact"]
     assert len(exact) == 6021
     assert exact[-50:] == str(pow(2, 19999, 10**50)).zfill(50)
+
+
+def test_table1_approx_beyond_float_range():
+    # d alpha^t at t = 20000, D = 2 is about 4.1e4179, past the float range
+    code, out, err = run(["table1", "--t", "20000", "--D", "2", "--format", "json-lines"])
+    assert code == 0, err
+    low = json.loads(out.splitlines()[1])
+    assert low["family"] == "low_lying"
+    mantissa, exponent = low["approx"].split("e+")
+    assert len(mantissa.replace(".", "")) <= 12
+    assert int(exponent) == len(low["exact"]) - 1
+    # alpha is known to 1e-12, so alpha^t to about 1e-8 relative
+    assert mantissa.replace(".", "")[:6] == low["exact"][:6]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_process(*argv, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen(
+        [sys.executable, "-m", "cuspcensus.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs,
+    )
+
+
+def test_unwritable_out_path_exits_two(tmp_path):
+    proc = cli_process(
+        "count", "--t", "3", "--D", "1", "--out", str(tmp_path / "missing" / "x.csv")
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.startswith(b"error:") and b"Traceback" not in err
+
+
+def test_reader_closing_the_pipe_ends_quietly():
+    proc = cli_process("count", "--t-max", "3000", "--D", "1", "--format", "csv")
+    assert proc.stdout.readline() == b"t,D,n,count,source\n"
+    proc.stdout.close()  # what `| head -1` does after its line
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_machine_formats_stream_and_table_waits_for_close():

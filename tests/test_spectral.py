@@ -2,13 +2,16 @@
 counts, certified bounds, term diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cuspcensus import spectral
 from cuspcensus.compositions import count_bounded, count_exact_excursions
 from cuspcensus.spectral import (
     AlphaEnclosure,
@@ -16,6 +19,7 @@ from cuspcensus.spectral import (
     PrecisionExhausted,
     RatInterval,
     bounds_two_excursions,
+    bounds_two_excursions_range,
     closed_form_count,
     coefficient_d,
     excursion_term_report,
@@ -135,22 +139,38 @@ def test_alpha_enclosure_type_rejects_bad_brackets():
         AlphaEnclosure(1, Fraction(3, 2), Fraction(8, 5))
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def solve_alpha_in_fresh_interpreter(*tolerances):
+    """Endpoints of solve_alpha(5, tol) for the last of the tolerances,
+    asked in turn by a new interpreter, so no bracket is cached before."""
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from cuspcensus import solve_alpha\n"
+        "for tol in sys.argv[1:]:\n"
+        "    enc = solve_alpha(5, Fraction(tol))\n"
+        "print(enc.lo, enc.hi)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *tolerances],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout
+
+
 def test_bisection_deterministic_endpoints():
-    fresh = {}
-    for key in [(5, 137), (5, 300)]:
-        spectral._alpha_cache.pop(key, None)
-    # fresh straight run to 300
-    spectral._alpha_cache = {
-        k: v for k, v in spectral._alpha_cache.items() if k[0] != 5
-    }
-    fresh = spectral._bisect(5, 300)
-    # warm run: checkpoint at 137 first, then extend
-    spectral._alpha_cache = {
-        k: v for k, v in spectral._alpha_cache.items() if k[0] != 5
-    }
-    spectral._bisect(5, 137)
-    warm = spectral._bisect(5, 300)
-    assert fresh == warm
+    # a coarse bracket cached first is extended, not recomputed; the
+    # endpoints must not depend on that history
+    fine = f"1/{10**90}"
+    coarse = f"1/{10**40}"
+    straight = solve_alpha_in_fresh_interpreter(fine)
+    resumed = solve_alpha_in_fresh_interpreter(coarse, fine)
+    assert straight == resumed
+    lo, hi = map(Fraction, straight.split())
+    assert 0 < hi - lo <= Fraction(1, 10**90)
 
 
 def test_solve_alpha_validation():
@@ -235,6 +255,25 @@ def test_closed_form_count_matches_dp():
             assert closed_form_count(t, D) == count_bounded(t, D)
 
 
+@settings(deadline=None)
+@given(st.integers(0, 3000), st.integers(2, 12))
+def test_closed_form_matches_dp_property(t, D):
+    assert closed_form_count(t, D) == count_bounded(t, D)
+
+
+def plain_p(D, z):
+    """p_D(z) = z^D - z^{D-1} - ... - 1 from powers, not by Horner."""
+    return z**D - sum(z**j for j in range(D))
+
+
+@settings(deadline=None)
+@given(st.integers(2, 12), st.integers(1, 200))
+def test_solve_alpha_brackets_a_sign_change(D, digits):
+    enc = solve_alpha(D, Fraction(1, 10**digits))
+    assert plain_p(D, enc.lo) < 0 < plain_p(D, enc.hi)
+    assert 0 < enc.hi - enc.lo <= Fraction(1, 10**digits)
+
+
 def test_precision_exhausted_is_runtime_error():
     assert issubclass(PrecisionExhausted, RuntimeError)
 
@@ -261,6 +300,27 @@ def test_bounds_sandwich_sweep():
             exact = count_exact_excursions(t, 1, D)
             assert lo <= exact <= hi
             assert isinstance(lo, Fraction) and isinstance(hi, Fraction)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 400), st.integers(2, 12))
+def test_bounds_sandwich_property(t, D):
+    lo, hi = bounds_two_excursions(t, D)
+    assert lo <= count_exact_excursions(t, 1, D) <= hi
+
+
+def test_bounds_range_matches_single_t():
+    # ranges that start below D + 1, start mid-depth, cross the depth
+    # changes at t = 63 and 191, and are empty
+    for D, t_lo, t_hi in ((2, 1, 200), (5, 150, 260), (3, 70, 69)):
+        rows = list(bounds_two_excursions_range(t_lo, t_hi, D))
+        assert rows == [
+            (t, *bounds_two_excursions(t, D)) for t in range(t_lo, t_hi + 1)
+        ]
+    with pytest.raises(ValueError):
+        list(bounds_two_excursions_range(0, 5, 2))
+    with pytest.raises(ValueError):
+        list(bounds_two_excursions_range(1, 5, 1))
 
 
 def test_bounds_match_naive_double_sum():
