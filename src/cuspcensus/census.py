@@ -1,16 +1,19 @@
 """Census of reciprocal geodesics by word length and excursion count.
 
 Ties the other modules together: the combinatorial counts (compositions),
-the word-level brute-force oracle (words), and the certified constants
-(spectral) meet here in cross-checked census tables and tolerance-based
-convergence reports.
+the brute-force oracle with its word-level conjugacy check (words), and
+the certified constants (spectral) meet here in cross-checked census
+tables and tolerance-based convergence reports, whose ratios are formed
+in stdlib ``decimal``.
 
 Counts are produced by two unrelated routes and compared cell by cell:
 
 * the DP route counts compositions of t with exactly n parts bigger
   than D;
-* the oracle route enumerates all 2^t sign tuples, projectivizes them,
-  verifies the two-to-one collapse, and tallies run sequences.
+* the oracle route tallies all 2^t sign tuples as bit masks (bit i set
+  when e_{i+1} = -1): it projectivizes each by complementing the masks
+  with bit 0 set, verifies the two-to-one collapse, and reads the run
+  lengths off the bits where neighbouring signs differ.
 
 Asymptotic statements are limits, so they are verified as convergence
 checks with explicit tolerances; every tolerance appears in the emitted
@@ -21,9 +24,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -43,14 +45,7 @@ from .spectral import (
     limit_constant,
     solve_alpha,
 )
-from .words import (
-    EpsilonSeq,
-    canonical_cyclic_form,
-    excursion_parts,
-    projectivize,
-    reciprocal_word,
-    run_sequence,
-)
+from .words import EpsilonSeq, canonical_cyclic_form, reciprocal_word
 
 Number = Union[int, float, Fraction]
 
@@ -62,6 +57,9 @@ CONJUGACY_CAP = 14
 
 #: decimal digits used when forming large-count ratios in log space
 RATIO_DPS = 50
+
+# with the widest exponent range, so that no large t overflows
+_RATIO_CONTEXT = Context(prec=RATIO_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _ALPHA_TOL = Fraction(1, 10**12)
 
@@ -145,47 +143,41 @@ def _signs_of_mask(t: int, mask: int) -> tuple[int, ...]:
     return tuple(-1 if mask >> i & 1 else 1 for i in range(t))
 
 
-def _canonical_tally(t: int, lo: int, hi: int) -> Counter:
-    tally: Counter = Counter()
-    for mask in range(lo, hi):
-        eps = EpsilonSeq(_signs_of_mask(t, mask))
-        canon = projectivize(eps).canonical.signs
-        tally[sum(1 << i for i, s in enumerate(canon) if s == -1)] += 1
-    return tally
+def _run_lengths(t: int, mask: int) -> tuple[int, ...]:
+    """Sorted run lengths of the sign tuple of mask: a run ends after
+    e_{i+1} wherever bit i of mask ^ (mask >> 1) is set, i < t - 1."""
+    ends = (mask ^ (mask >> 1)) & ((1 << (t - 1)) - 1)
+    parts = []
+    start = 0
+    while ends:
+        end = (ends & -ends).bit_length()
+        parts.append(end - start)
+        start = end
+        ends &= ends - 1
+    parts.append(t - start)
+    return tuple(sorted(parts))
 
 
-_oracle_runs_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+_oracle_cache: dict[int, Counter] = {}
 
 
-def _oracle_run_sequences(t: int, threads: int = 1) -> tuple[tuple[int, ...], ...]:
-    """Run sequences of all projective classes at size t, via the word
-    route: enumerate every sign tuple, projectivize, check the collapse is
-    exactly two-to-one, then read runs off the canonical representatives.
+def _oracle_run_lengths(t: int) -> Counter:
+    """Run lengths of all projective classes at size t: enumerate every
+    sign mask, projectivize it (complement when bit 0 is set, so the
+    representative starts with +1), check the collapse is exactly
+    two-to-one, then tally the classes by their sorted run lengths.
 
-    Results are cached per t; the thread count only splits the enumeration
-    range and cannot affect the outcome.
+    Cached per t; the tally has one entry per partition of t.
     """
-    cached = _oracle_runs_cache.get(t)
+    cached = _oracle_cache.get(t)
     if cached is not None:
         return cached
-    total = 1 << t
-    if threads > 1:
-        step = -(-total // threads)
-        chunks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda c: _canonical_tally(t, *c), chunks))
-        tally: Counter = Counter()
-        for part in parts:
-            tally.update(part)
-    else:
-        tally = _canonical_tally(t, 0, total)
-    if len(tally) != count_all(t) or set(tally.values()) != {2}:
+    full = (1 << t) - 1
+    classes = Counter(m ^ full if m & 1 else m for m in range(1 << t))
+    if len(classes) != count_all(t) or set(classes.values()) != {2}:
         raise RuntimeError(f"projectivization is not two-to-one at t={t}")
-    runs = tuple(
-        run_sequence(EpsilonSeq(_signs_of_mask(t, mask))).parts
-        for mask in sorted(tally)
-    )
-    _oracle_runs_cache[t] = runs
+    runs = Counter(_run_lengths(t, m) for m in classes)
+    _oracle_cache[t] = runs
     return runs
 
 
@@ -211,9 +203,7 @@ def conjugacy_class_sizes(t: int) -> Counter:
     return cached
 
 
-def oracle_census(
-    t: int, D: int, cap: int = DEFAULT_ORACLE_CAP, threads: int = 1
-) -> list[CensusRow]:
+def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusRow]:
     """Brute-force census over sign tuples; independent of the DP route.
 
     For t within the conjugacy cap, additionally verifies that grouping
@@ -230,33 +220,26 @@ def oracle_census(
         if len(sizes) != count_all(t) or set(sizes.values()) != {2}:
             raise RuntimeError(f"cyclic conjugacy classes are not paired at t={t}")
     hist: Counter = Counter()
-    for parts in _oracle_run_sequences(t, threads):
-        hist[sum(1 for p in parts if p > D)] += 1
+    for parts, classes in _oracle_run_lengths(t).items():
+        hist[sum(1 for p in parts if p > D)] += classes
     return [
         CensusRow(t, D, n, hist.get(n, 0), "oracle")
         for n in range(t // (D + 1) + 1)
     ]
 
 
-# mpmath is imported by the diagnostic functions that use it, not with the
-# package: the counting and certified paths never need it
-
-
-def _to_mpf(x: Fraction):
-    import mpmath
-
-    return mpmath.mpf(x.numerator) / x.denominator
+def _to_decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / x.denominator
 
 
 def _ratio_to_limit(count: int, t: int, power_base: Fraction, t_factor: bool) -> float:
-    """count/(t * base^t) or count/base^t in log space; exact inputs, one
-    floating-point exponential at the end."""
-    import mpmath
-
-    ln = mpmath.log(mpmath.mpf(count)) - t * mpmath.log(_to_mpf(power_base))
+    """count/(t * base^t) or count/base^t in log space, at the working
+    precision of the current decimal context; exact inputs, one
+    exponential at the end."""
+    ln = Decimal(count).ln() - t * _to_decimal(power_base).ln()
     if t_factor:
-        ln -= mpmath.log(t)
-    return float(mpmath.e**ln)
+        ln -= Decimal(t).ln()
+    return float(ln.exp())
 
 
 def verify_theorem_2n_depth1(
@@ -310,12 +293,10 @@ def verify_theorem_two_excursions(
         raise ValueError(f"D must be >= 2, got {D}")
     if list(t_list) != sorted(set(t_list)) or not t_list:
         raise ValueError("t_list must be nonempty and strictly ascending")
-    import mpmath
-
     alpha = solve_alpha(D, _ALPHA_TOL)
     limit = float(limit_constant("two_excursions_D", D).midpoint())
     errors = []
-    with mpmath.workdps(RATIO_DPS):
+    with localcontext(_RATIO_CONTEXT):
         for t in t_list:
             count = count_exact_excursions(t, 1, D)
             ratio = _ratio_to_limit(count, t, alpha.interval().midpoint(), True)
@@ -347,14 +328,10 @@ class Table1Row:
     approx: Optional[Union[float, Decimal]]
 
 
-def _approx(x) -> Union[float, Decimal]:
-    """An mpf as a float, or as a Decimal where float() would overflow."""
-    import mpmath
-
+def _approx(x: Decimal) -> Union[float, Decimal]:
+    """x as a float, or unchanged where float() would overflow."""
     value = float(x)
-    if math.isinf(value):
-        return Decimal(mpmath.nstr(x, RATIO_DPS))
-    return value
+    return x if math.isinf(value) else value
 
 
 def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
@@ -368,19 +345,16 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
         raise ValueError(f"D must be >= 2, got {D}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    import mpmath
-
     alpha_mid = solve_alpha(D, _ALPHA_TOL).interval().midpoint()
     d_mid = coefficient_d(D, _ALPHA_TOL).midpoint()
     limit_mid = limit_constant("two_excursions_D", D).midpoint()
-    with mpmath.workdps(RATIO_DPS):
-        a = _to_mpf(alpha_mid)
-        power = a**t
+    with localcontext(_RATIO_CONTEXT):
+        power = _to_decimal(alpha_mid) ** t
         rows = [
             Table1Row("all", t, None, None, count_all(t), None),
             Table1Row(
                 "low_lying", t, D, None,
-                count_bounded(t, D), _approx(_to_mpf(d_mid) * power),
+                count_bounded(t, D), _approx(_to_decimal(d_mid) * power),
             ),
         ]
         for n in range(1, n_max + 1):
@@ -388,14 +362,14 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
                 Table1Row(
                     "depth_one", t, 1, n,
                     binomial(t, 2 * n),
-                    _approx(mpmath.mpf(t) ** (2 * n) / math.factorial(2 * n)),
+                    _approx(Decimal(t) ** (2 * n) / math.factorial(2 * n)),
                 )
             )
         rows.append(
             Table1Row(
                 "two_excursions", t, D, 1,
                 count_exact_excursions(t, 1, D),
-                _approx(_to_mpf(limit_mid) * t * power),
+                _approx(_to_decimal(limit_mid) * t * power),
             )
         )
     return rows
@@ -422,8 +396,7 @@ def suite_bijection(t_max: int = 14) -> VerificationReport:
 
 
 def suite_partition(
-    t_max: int = 20, d_max: int = 5, oracle_max_t: int = DEFAULT_ORACLE_CAP,
-    threads: int = 1,
+    t_max: int = 20, d_max: int = 5, oracle_max_t: int = DEFAULT_ORACLE_CAP
 ) -> VerificationReport:
     """Census rows partition the 2^{t-1} geodesics, and the DP census
     matches the tuple-space oracle cell by cell."""
@@ -437,7 +410,7 @@ def suite_partition(
                 )
             )
             if t <= oracle_max_t:
-                oracle = oracle_census(t, D, cap=oracle_max_t, threads=threads)
+                oracle = oracle_census(t, D, cap=oracle_max_t)
                 mismatches = sum(
                     1 for a, b in zip(rows, oracle)
                     if (a.t, a.D, a.n, a.count) != (b.t, b.D, b.n, b.count)

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .census import (
+    DEFAULT_ORACLE_CAP,
     SUITES,
     excursion_census,
     suite_lemma33,
@@ -157,11 +158,20 @@ def _float_fields(rec: dict, digits: int, *names: str) -> dict:
     return out
 
 
-def _cmd_count(args, emitter: Emitter) -> int:
+def _t_range(args) -> tuple[int, int]:
+    """First and last t of --t and --t-max; an empty range is an input
+    error."""
     if args.t is None and args.t_max is None:
-        raise ValueError("count needs --t or --t-max")
+        raise ValueError(f"{args.command} needs --t or --t-max")
     t_lo = args.t if args.t is not None else 1
     t_hi = args.t_max if args.t_max is not None else args.t
+    if t_lo > t_hi:
+        raise ValueError(f"empty t-range: --t {t_lo} is above --t-max {t_hi}")
+    return t_lo, t_hi
+
+
+def _cmd_count(args, emitter: Emitter) -> int:
+    t_lo, t_hi = _t_range(args)
     for t in range(t_lo, t_hi + 1):
         for row in excursion_census(t, args.D):
             if args.n is not None and row.n != args.n:
@@ -233,10 +243,7 @@ def _cmd_table1(args, emitter: Emitter) -> int:
 def _cmd_bounds(args, emitter: Emitter) -> int:
     from .compositions import count_exact_excursions
 
-    if args.t is None and args.t_max is None:
-        raise ValueError("bounds needs --t or --t-max")
-    t_lo = args.t if args.t is not None else 1
-    t_hi = args.t_max if args.t_max is not None else args.t
+    t_lo, t_hi = _t_range(args)
     for t, lo, hi in bounds_two_excursions_range(t_lo, t_hi, args.D):
         count = count_exact_excursions(t, 1, args.D)
         emitter.emit(
@@ -252,20 +259,23 @@ def _cmd_bounds(args, emitter: Emitter) -> int:
     return 0
 
 
+def _tolerance(text: str) -> Fraction:
+    try:
+        tolerance = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--tolerance {text} has a zero denominator") from None
+    if tolerance < 0:
+        raise ValueError(f"--tolerance must be >= 0, got {text}")
+    return tolerance
+
+
 def _cmd_verify(args, emitter: Emitter) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    tolerance = Fraction(args.tolerance) if args.tolerance is not None else None
+    tolerance = _tolerance(args.tolerance) if args.tolerance is not None else None
     reports = []
     for name in names:
         if name == "partition":
-            reports.append(
-                suite_partition(
-                    oracle_max_t=args.oracle_max_t
-                    if args.oracle_max_t is not None
-                    else 18,
-                    threads=args.threads,
-                )
-            )
+            reports.append(suite_partition(oracle_max_t=args.oracle_max_t))
         elif name == "thm32" and tolerance is not None:
             reports.append(suite_thm32(tolerance=tolerance))
         elif name == "thm34" and tolerance is not None:
@@ -363,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
-    p.add_argument("--oracle-max-t", dest="oracle_max_t", type=int)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--oracle-max-t", dest="oracle_max_t", type=int,
+                   default=DEFAULT_ORACLE_CAP)
     p.add_argument("--tolerance", type=str)
     add_common(p)
     p.set_defaults(func=_cmd_verify)

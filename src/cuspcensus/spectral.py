@@ -27,7 +27,8 @@ enters any certified path.
 
 The one exception is the diagnostic term report at the bottom, which
 tracks the three sums controlling the two-excursion asymptotics; it runs
-at a documented 64-digit working precision and certifies nothing.
+in stdlib ``decimal`` at a documented 64-digit working precision and
+certifies nothing.
 
 D = 1 is excluded throughout: p_1(z) = z - 1 forces alpha_1 = 1 and
 d_1 = 0, so the closed form degenerates (|C_{t,1}| = 1, not rnd(0)).
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -47,6 +49,9 @@ RationalLike = Union[int, Fraction]
 
 #: working precision, decimal digits, for the diagnostic term report
 REPORT_DPS = 64
+
+# with the widest exponent range, so that no large t overflows
+_REPORT_CONTEXT = Context(prec=REPORT_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _HALF = Fraction(1, 2)
 
@@ -512,18 +517,16 @@ def excursion_term_report(D: int, t_max: int) -> TermReport:
         raise ValueError(f"D must be >= 2, got {D}")
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    import mpmath
-
-    with mpmath.workdps(REPORT_DPS):
+    with localcontext(_REPORT_CONTEXT):
         enc = solve_alpha(D, Fraction(1, 10**(REPORT_DPS + 4)))
-        alpha = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
+        alpha = Decimal(enc.lo.numerator) / enc.lo.denominator
         denc = coefficient_d(D, Fraction(1, 10**(REPORT_DPS + 4)))
-        d = mpmath.mpf(denc.lo.numerator) / denc.lo.denominator
+        d = Decimal(denc.lo.numerator) / denc.lo.denominator
         limit = d * d / (alpha**D * (alpha - 1))
         rows = []
         alpha_t = alpha  # alpha^t, updated per t
-        g = w = gg = mpmath.mpf(0)  # sums up to N = t - D - 1
-        power = mpmath.mpf(1) / alpha  # alpha^N placeholder before N = 0
+        g = w = gg = Decimal(0)  # sums up to N = t - D - 1
+        power = 1 / alpha  # alpha^N placeholder before N = 0
         for t in range(1, t_max + 1):
             n_terms = t - D - 1
             if n_terms >= 0:

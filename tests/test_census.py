@@ -1,8 +1,15 @@
 """Tests for census: DP vs oracle rows, verification reports, table rows."""
 
+import itertools
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuspcensus.census import (
     SUITES,
@@ -28,6 +35,7 @@ from cuspcensus.census import (
     verify_theorem_two_excursions,
 )
 from cuspcensus.compositions import count_all, count_bounded, count_exact_excursions
+from cuspcensus.words import EpsilonSeq, projectivize, run_sequence
 
 
 # -- check plumbing ------------------------------------------------------------
@@ -105,10 +113,30 @@ def test_oracle_census_cap():
         oracle_census(0, 1)
 
 
-def test_oracle_census_thread_count_invisible():
-    single = oracle_census(9, 2, threads=1)
-    multi = oracle_census(9, 2, threads=4)
-    assert single == multi
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 8))
+def test_oracle_matches_dp_property(t, D):
+    assert [(r.t, r.D, r.n, r.count) for r in oracle_census(t, D)] == [
+        (r.t, r.D, r.n, r.count) for r in excursion_census(t, D)
+    ]
+
+
+def test_oracle_matches_word_route_tally():
+    # the oracle reads run lengths off bit masks; tally the same classes
+    # through the words objects and require the same histogram
+    for t in range(1, 13):
+        runs = Counter(
+            run_sequence(projectivize(EpsilonSeq(signs)).canonical).parts
+            for signs in itertools.product((1, -1), repeat=t)
+        )
+        for D in range(1, 7):
+            hist = Counter()
+            for parts, tuples in runs.items():
+                hist[sum(1 for p in parts if p > D)] += tuples
+            # each class {e, -e} holds two sign tuples
+            assert [(r.n, 2 * r.count) for r in oracle_census(t, D)] == [
+                (n, hist[n]) for n in range(t // (D + 1) + 1)
+            ], (t, D)
 
 
 def test_conjugacy_class_sizes():
@@ -214,7 +242,23 @@ def test_suites_pass_at_reduced_scales():
     assert suite_matrices(t_max=6).passed
 
 
-def test_suite_partition_respects_threads():
-    a = suite_partition(t_max=6, d_max=2, oracle_max_t=6, threads=1)
-    b = suite_partition(t_max=6, d_max=2, oracle_max_t=6, threads=3)
-    assert a == b
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_diagnostics_run_without_mpmath():
+    script = """
+import sys
+sys.modules["mpmath"] = None  # any import of mpmath now fails
+from cuspcensus.census import table1, verify_theorem_two_excursions
+from cuspcensus.cli import main
+from cuspcensus.spectral import excursion_term_report
+table1(20000, 2)
+excursion_term_report(3, 300)
+verify_theorem_two_excursions(2, (250, 500))
+sys.exit(main(["verify", "--suite", "lemma33"]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
