@@ -13,7 +13,7 @@ The package splits into:
 - ``compositions``: the counting engine (all compositions, bounded
   parts, exact excursion counts), one generating function read by
   recurrences that hold at most the last D+1 census rows, so memory is
-  O(D * row) and bounded by the request.
+  O(D * row) and bounded by the request; no state outlives a call.
 - ``spectral``: growth rates as certified root enclosures, closed-form
   counts, limit constants, and rigorous two-sided bounds.
 - ``census``: the verification harness tying enumeration oracles to the

@@ -22,6 +22,7 @@ report.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from typing import Optional, Sequence, Union
 from .compositions import (
     binomial,
     census_row,
+    census_rows,
     count_all,
     count_bounded,
     count_exact_excursions,
@@ -158,30 +160,26 @@ def _run_lengths(t: int, mask: int) -> tuple[int, ...]:
     return tuple(sorted(parts))
 
 
-_oracle_cache: dict[int, Counter] = {}
-
-
-def _oracle_run_lengths(t: int) -> Counter:
-    """Run lengths of all projective classes at size t: enumerate every
-    sign mask, projectivize it (complement when bit 0 is set, so the
-    representative starts with +1), check the collapse is exactly
-    two-to-one, then tally the classes by their sorted run lengths.
-
-    Cached per t; the tally has one entry per partition of t.
+@functools.cache
+def _oracle_tally(t: int) -> tuple[Counter, Counter]:
+    """Enumerate every sign mask at size t and projectivize it (complement
+    when bit 0 is set, so the representative starts with +1).  Returns
+    how many classes have each size, and the classes tallied by their
+    sorted run lengths, one entry per partition of t.  Cached per t.
     """
-    cached = _oracle_cache.get(t)
-    if cached is not None:
-        return cached
     full = (1 << t) - 1
     classes = Counter(m ^ full if m & 1 else m for m in range(1 << t))
-    if len(classes) != count_all(t) or set(classes.values()) != {2}:
-        raise RuntimeError(f"projectivization is not two-to-one at t={t}")
-    runs = Counter(_run_lengths(t, m) for m in classes)
-    _oracle_cache[t] = runs
-    return runs
+    return Counter(classes.values()), Counter(_run_lengths(t, m) for m in classes)
 
 
-_conjugacy_cache: dict[int, Counter] = {}
+@functools.cache
+def _conjugacy_classes(t: int) -> Counter:
+    """Canonical cyclic forms of the 2^t reciprocal normal forms at size t,
+    with their multiplicities.  Cached per t."""
+    return Counter(
+        str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(_signs_of_mask(t, m))).word))
+        for m in range(1 << t)
+    )
 
 
 def conjugacy_class_sizes(t: int) -> Counter:
@@ -193,14 +191,7 @@ def conjugacy_class_sizes(t: int) -> Counter:
     """
     if not 1 <= t <= CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
-    cached = _conjugacy_cache.get(t)
-    if cached is None:
-        cached = Counter(
-            str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(_signs_of_mask(t, m))).word))
-            for m in range(1 << t)
-        )
-        _conjugacy_cache[t] = cached
-    return cached
+    return _conjugacy_classes(t)
 
 
 def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusRow]:
@@ -219,8 +210,11 @@ def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusR
         sizes = conjugacy_class_sizes(t)
         if len(sizes) != count_all(t) or set(sizes.values()) != {2}:
             raise RuntimeError(f"cyclic conjugacy classes are not paired at t={t}")
+    sizes, runs = _oracle_tally(t)
+    if sizes != {2: count_all(t)}:
+        raise RuntimeError(f"projectivization is not two-to-one at t={t}")
     hist: Counter = Counter()
-    for parts, classes in _oracle_run_lengths(t).items():
+    for parts, classes in runs.items():
         hist[sum(1 for p in parts if p > D)] += classes
     return [
         CensusRow(t, D, n, hist.get(n, 0), "oracle")
@@ -399,7 +393,9 @@ def suite_partition(
     t_max: int = 20, d_max: int = 5, oracle_max_t: int = DEFAULT_ORACLE_CAP
 ) -> VerificationReport:
     """Census rows partition the 2^{t-1} geodesics, and the DP census
-    matches the tuple-space oracle cell by cell."""
+    matches the tuple-space oracle cell by cell for t <= oracle_max_t."""
+    if oracle_max_t < 1:
+        raise ValueError(f"oracle_max_t must be >= 1, got {oracle_max_t}")
     checks = []
     for D in range(1, d_max + 1):
         for t in range(1, t_max + 1):
@@ -465,9 +461,9 @@ def suite_thm32(
     checks = []
     mismatches = sum(
         1
-        for t in range(1, exact_t_max + 1)
-        for row in excursion_census(t, 1)
-        if row.count != binomial(t, 2 * row.n)
+        for t, row in census_rows(1, exact_t_max, 1)
+        for n, count in enumerate(row)
+        if count != binomial(t, 2 * n)
     )
     checks.append(
         _within("depth1_exact_sweep_mismatches", (exact_t_max,), mismatches, 0, 0)

@@ -24,14 +24,13 @@ from typing import Optional
 from .census import (
     DEFAULT_ORACLE_CAP,
     SUITES,
-    excursion_census,
     suite_lemma33,
     suite_partition,
     suite_thm32,
     suite_thm34,
     table1,
 )
-from .compositions import enumerate_compositions
+from .compositions import census_rows, enumerate_compositions
 from .spectral import (
     bounds_two_excursions_range, coefficient_d, limit_constant, solve_alpha,
 )
@@ -159,12 +158,14 @@ def _float_fields(rec: dict, digits: int, *names: str) -> dict:
 
 
 def _t_range(args) -> tuple[int, int]:
-    """First and last t of --t and --t-max; an empty range is an input
-    error."""
+    """First and last t of --t and --t-max; an empty range or a t below 1
+    is an input error."""
     if args.t is None and args.t_max is None:
         raise ValueError(f"{args.command} needs --t or --t-max")
     t_lo = args.t if args.t is not None else 1
     t_hi = args.t_max if args.t_max is not None else args.t
+    if t_lo < 1:
+        raise ValueError(f"t must be >= 1, got {t_lo}")
     if t_lo > t_hi:
         raise ValueError(f"empty t-range: --t {t_lo} is above --t-max {t_hi}")
     return t_lo, t_hi
@@ -172,16 +173,15 @@ def _t_range(args) -> tuple[int, int]:
 
 def _cmd_count(args, emitter: Emitter) -> int:
     t_lo, t_hi = _t_range(args)
-    for t in range(t_lo, t_hi + 1):
-        for row in excursion_census(t, args.D):
-            if args.n is not None and row.n != args.n:
-                continue
-            emitter.emit(
-                {
-                    "t": row.t, "D": row.D, "n": row.n,
-                    "count": _int_str(row.count), "source": row.source,
-                }
-            )
+    rows = census_rows(t_lo, t_hi, args.D)  # rejects a bad --D before n_max
+    n_max = t_hi // (args.D + 1)
+    if args.n is not None and not 0 <= args.n <= n_max:
+        raise ValueError(f"--n must be in 0..{n_max} for t <= {t_hi}, got {args.n}")
+    for t, row in rows:
+        for n, count in enumerate(row):
+            if args.n in (None, n):
+                emitter.emit({"t": t, "D": args.D, "n": n,
+                              "count": _int_str(count), "source": "dp"})
     return 0
 
 
@@ -272,6 +272,8 @@ def _tolerance(text: str) -> Fraction:
 def _cmd_verify(args, emitter: Emitter) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     tolerance = _tolerance(args.tolerance) if args.tolerance is not None else None
+    if args.oracle_max_t < 1:
+        raise ValueError(f"--oracle-max-t must be >= 1, got {args.oracle_max_t}")
     reports = []
     for name in names:
         if name == "partition":

@@ -27,33 +27,21 @@ read in three ways, none of which keeps a table:
 * one coefficient of y^n: a recurrence in t alone, of order D+1 (see
   count_exact_excursions), O(t) steps for any n.
 
-Only the positional double sum (``product_at``, ``two_excursion_sum``)
-keeps memoized tables, since it is the independent route the kernel is
-checked against.  The census cursor is advanced under a lock, so results
-never depend on call order or thread count.
+The positional double sum (``product_at``, ``two_excursion_sum``) is the
+independent route the kernel is checked against; it builds the bounded
+counts it needs by their D-term sum, per call.  Nothing is kept between
+calls: every function is a pure function of its arguments, and memory is
+bounded by the request.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
-from itertools import zip_longest
+from itertools import accumulate, islice, zip_longest
 from typing import Iterator, Optional
 
 from .words import Composition
-
-_lock = threading.RLock()
-
-# D -> [|C_{0,D}|, |C_{1,D}|, ...]
-_bounded: dict[int, list[int]] = {}
-
-# D -> (t, kernel rows from t + 1 on, R_t): where the last census row left off
-_cursors: dict[int, tuple[int, Iterator[list[int]], list[int]]] = {}
-
-# D -> prefix sums of the self-convolution of the bounded counts:
-# entry s is sum_{u<=s} sum_{i+j=u} |C_{i,D}| |C_{j,D}|
-_conv_pref: dict[int, list[int]] = {}
 
 
 class RangeError(ValueError):
@@ -70,14 +58,6 @@ def count_all(t: int) -> int:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     return 1 if t == 0 else 1 << (t - 1)
-
-
-def _grown_bounded(D: int, upto: int) -> list[int]:
-    row = _bounded.setdefault(D, [1])
-    while len(row) <= upto:
-        s = len(row)
-        row.append(sum(row[s - i] for i in range(1, min(D, s) + 1)))
-    return row
 
 
 def _check_args(t: int, D: int) -> None:
@@ -129,29 +109,34 @@ def count_bounded(t: int, D: int) -> int:
     return last
 
 
+def census_rows(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, list[int]]]:
+    """(t, row) for t = t_lo..t_hi: entry n of row is the number of
+    compositions of t with exactly n parts bigger than D.
+
+    One pass of the kernel serves the whole range, one step per t, and
+    lasts only as long as the request.  The arguments are checked at the
+    call, before any row is read.
+
+    >>> [row for _, row in census_rows(3, 5, 2)]
+    [[3, 1], [5, 3], [8, 8]]
+    """
+    _check_args(t_lo, D)
+    rows = islice(_rows(D), t_lo, max(t_lo, t_hi + 1))
+    return ((t, list(row)) for t, row in enumerate(rows, t_lo))
+
+
 def census_row(t: int, D: int) -> list[int]:
     """Counts of the compositions of t by their number of parts bigger
     than D: entry n is count_exact_excursions(t, n, D), for
     n = 0..t // (D+1).
-
-    One cursor per D remembers the last row served.  A larger t resumes
-    from it, so an ascending sweep costs one kernel step per t; a smaller
-    t restarts from t = 0.
 
     >>> census_row(7, 1)
     [1, 21, 35, 7]
     >>> census_row(4, 2)
     [5, 3]
     """
-    _check_args(t, D)
-    with _lock:
-        at, rows, row = _cursors.get(D) or (-1, _rows(D), [])
-        if t < at:
-            at, rows = -1, _rows(D)
-        for at in range(at + 1, t + 1):
-            row = next(rows)
-        _cursors[D] = (t, rows, row)
-        return list(row)
+    ((_, row),) = census_rows(t, t, D)
+    return row
 
 
 def count_exact_excursions(t: int, n: int, D: int) -> int:
@@ -199,6 +184,15 @@ def binomial(t: int, k: int) -> int:
     return math.comb(t, k)
 
 
+def _bounded_counts(D: int, upto: int) -> list[int]:
+    """|C_{0,D}|, ..., |C_{upto,D}| by the D-term sum
+    |C_{s,D}| = sum_{i=1}^{D} |C_{s-i,D}|, independent of the kernel."""
+    row = [1]
+    while len(row) <= upto:
+        row.append(sum(row[-D:]))
+    return row
+
+
 def product_at(t: int, D: int, k: int, r: int) -> int:
     """Compositions of t whose unique part bigger than D equals r and
     starts at position k of the underlying tuple.
@@ -213,18 +207,19 @@ def product_at(t: int, D: int, k: int, r: int) -> int:
         raise RangeError(f"r must be >= D+1 = {D + 1}, got {r}")
     if not 1 <= k <= t - r + 1:
         raise RangeError(f"k must satisfy 1 <= k <= t-r+1 = {t - r + 1}, got {k}")
-    with _lock:
-        row = _grown_bounded(D, max(k - 1, t - k - r + 1))
-        return row[k - 1] * row[t - k - r + 1]
+    row = _bounded_counts(D, max(k - 1, t - k - r + 1))
+    return row[k - 1] * row[t - k - r + 1]
 
 
 def two_excursion_sum(t: int, D: int) -> int:
     """Sum of product_at(t, D, k, r) over all admissible positions k and
     sizes r; equals count_exact_excursions(t, 1, D).
 
-    Grouping the (k, r) grid by s = t - r turns the double sum into
-    prefix sums of the self-convolution of the bounded counts, which this
-    function maintains incrementally per D.
+    With a_i = |C_{i,D}|, A_j = a_0 + ... + a_j and s = t - D - 1,
+    grouping the (k, r) grid by i = k - 1 turns the double sum into
+    sum_{i=0}^{s} a_i A_{s-i}: the parts before the big one form a bounded
+    composition of i, and those after it one of any j <= s - i, the big
+    part taking up the rest.
 
     >>> two_excursion_sum(5, 2)
     8
@@ -235,17 +230,11 @@ def two_excursion_sum(t: int, D: int) -> int:
         raise ValueError(f"t must be >= 1, got {t}")
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    s_max = t - D - 1
-    if s_max < 0:
+    s = t - D - 1
+    if s < 0:
         return 0
-    with _lock:
-        row = _grown_bounded(D, s_max)
-        pref = _conv_pref.setdefault(D, [])
-        while len(pref) <= s_max:
-            s = len(pref)
-            conv = sum(row[i] * row[s - i] for i in range(s + 1))
-            pref.append(conv + (pref[s - 1] if s else 0))
-        return pref[s_max]
+    a = _bounded_counts(D, s)
+    return sum(x * y for x, y in zip(reversed(a), accumulate(a)))
 
 
 def _composition_from_glue(t: int, glue: int) -> Composition:

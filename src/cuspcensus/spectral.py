@@ -11,19 +11,20 @@ integer count.  Everything in this module that feeds such exact claims is
 computed with certified enclosures.  The hot paths work on scaled
 integers, a real x being held as integers lo <= x * 2^k <= hi:
 
-- alpha_D is bracketed by bisection on integers over 2^(D-1+steps); the
-  sign of p_D at a midpoint m/2^k is the sign of the integer
-  2^(kD) p_D(m/2^k), evaluated by Horner's rule.
+- alpha_D is bracketed by [m, m+1]/2^k, the bracket that k-D+1
+  bisection steps would reach: m = floor(alpha_D 2^k) is found by integer
+  Newton iteration and certified by the signs of the integers
+  2^(kD) p_D(m/2^k) < 0 < 2^(kD) p_D((m+1)/2^k), by Horner's rule.
 - alpha_D^t is formed by binary powering at 2^-(steps+64), every product
   rounded down for the lower end and up for the upper end, and d_D by
   floor and ceiling division, so each rounding is directed outward.
 - The geometric sums behind the two-excursion bounds are accumulated per
   request in the same form: powers rounded outward, sums exact.
 
-The only state kept between calls is one bracket, two integers, per
-(D, steps).  The derived constants and the last step of the bounds use
-``RatInterval``, exact rational interval arithmetic.  No floating point
-enters any certified path.
+The only state kept between calls is a fixed number of recent
+brackets, two integers each.  The derived constants and the last step of
+the bounds use ``RatInterval``, exact rational interval arithmetic.  No
+floating point enters any certified path.
 
 The one exception is the diagnostic term report at the bottom, which
 tracks the three sums controlling the two-excursion asymptotics; it runs
@@ -36,8 +37,8 @@ d_1 = 0, so the closed form degenerates (|C_{t,1}| = 1, not rnd(0)).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -54,12 +55,6 @@ REPORT_DPS = 64
 _REPORT_CONTEXT = Context(prec=REPORT_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _HALF = Fraction(1, 2)
-
-_lock = threading.Lock()
-
-# (D, steps) -> (lo, hi), integers over 2^(D-1+steps): the bracket after
-# exactly `steps` bisection steps
-_brackets: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 class PrecisionExhausted(RuntimeError):
@@ -208,38 +203,52 @@ def _scaled_poly_value(D: int, m: int, k: int) -> int:
     return acc
 
 
+def _newton_above(D: int, k: int) -> int:
+    """An integer x > alpha_D * 2^k, close above it.
+
+    Integer Newton iteration on q(z) = (z - 1) p_D(z) = z^(D+1) - 2z^D + 1
+    at z = x/2^k, from z = 2, with the precision doubled up to k.  On
+    [2D/(D+1), 2], which contains alpha_D, q is increasing and convex, so
+    every Newton step lands at or above the root, and rounding the step
+    down keeps the integer iterate there too.
+    """
+    x = _newton_above(D, (k + 1) // 2) << (k // 2) if k > 32 else 2 << k
+    while True:
+        power = x ** (D - 1)
+        # 2^(k(D+1)) q(x/2^k) and 2^(kD) q'(x/2^k)
+        value = power * x * (x - (2 << k)) + (1 << k * (D + 1))
+        slope = power * ((D + 1) * x - (D << (k + 1)))
+        step = value // slope
+        if not step:
+            return x
+        x -= step
+
+
+# a fixed number of brackets is kept, enough for the closed forms of a
+# session, whose nearby t share one
+@functools.lru_cache(maxsize=256)
 def _bracket(D: int, steps: int) -> tuple[int, int]:
     """Bracket after exactly `steps` bisections from [2 - 2^{1-D}, 2], as
-    integers over 2^(D-1+steps).
+    integers over 2^K, K = D-1+steps.
 
-    The trajectory is a pure function of (D, steps), so cached prefixes can
-    be extended without changing any endpoint: determinism is exact, not
-    just up to tolerance.
+    Every bisection endpoint lies on the grid of multiples of 2^-K and
+    alpha_D is irrational, so that bracket is [m, m+1]/2^K with
+    m = floor(alpha_D * 2^K).  m is found by Newton iteration and
+    certified by the sign of p_D at both ends: a pure function of
+    (D, steps), so determinism is exact, not just up to tolerance.
     """
+    if D < 2:
+        raise ValueError(f"D must be >= 2, got {D}")
     if steps < 1:
         raise ValueError("at least one bisection step is required")
-    with _lock:
-        cached = _brackets.get((D, steps))
-        if cached is not None:
-            return cached
-        done = max((s for (d, s) in _brackets if d == D and s < steps), default=0)
-        if done:
-            lo, hi = _brackets[(D, done)]
-        else:
-            lo, hi = (1 << D) - 1, 1 << D
-        k = D - 1 + done
-        for _ in range(done, steps):
-            # the midpoint of lo/2^k and hi/2^k is (lo + hi)/2^(k+1);
-            # p_D(mid) = 0 cannot occur: the only candidate rational roots
-            # of p_D are +-1, and mid lies strictly between 1 and 2
-            mid = lo + hi
-            k += 1
-            if _scaled_poly_value(D, mid, k) < 0:
-                lo, hi = mid, hi << 1
-            else:
-                lo, hi = lo << 1, mid
-        _brackets[(D, steps)] = (lo, hi)
-        return lo, hi
+    k = D - 1 + steps
+    hi = _newton_above(D, k)
+    if not _scaled_poly_value(D, hi, k) > 0:
+        raise RuntimeError(f"Newton iterate {hi}/2^{k} is not above alpha_{D}")
+    # p_D is never 0 on the grid: its only candidate rational roots are +-1
+    while _scaled_poly_value(D, hi - 1, k) > 0:
+        hi -= 1
+    return hi - 1, hi
 
 
 def _bisect(D: int, steps: int) -> tuple[Fraction, Fraction]:
@@ -306,7 +315,7 @@ def coefficient_d(D: int, tol: RationalLike = Fraction(1, 10**12)) -> ConstantEn
 
 def _quantized_steps(t: int) -> int:
     """Bisection depth for working at height alpha^t: generous, and
-    quantized so nearby heights share one cached trajectory."""
+    quantized so nearby heights share one bracket."""
     return 128 * ((t + 65 + 127) // 128)
 
 

@@ -177,6 +177,11 @@ def test_usage_errors_exit_two():
         ["verify", "--suite", "thm32", "--tolerance", "-1"],
         ["count", "--t", "5", "--t-max", "3", "--D", "2"],
         ["bounds", "--t", "5", "--t-max", "3", "--D", "2"],
+        ["verify", "--suite", "partition", "--oracle-max-t", "-3"],
+        ["verify", "--suite", "partition", "--oracle-max-t", "0"],
+        ["count", "--t", "3", "--D", "2", "--n", "-1"],
+        ["count", "--t", "3", "--D", "2", "--n", "2"],
+        ["count", "--t", "3", "--D", "-1", "--n", "0"],
     ):
         code, _, err = run(argv)
         assert code == 2, argv

@@ -7,13 +7,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspcensus.census import excursion_census
 from cuspcensus.compositions import (
     RangeError,
     binomial,
     census_row,
+    census_rows,
     count_all,
     count_bounded,
     count_exact_excursions,
@@ -319,6 +320,25 @@ def test_kernel_rows_independent_of_request_order(ts, D, rng):
     assert {t: census_row(t, D) for t in shuffled} == ascending == descending
     for t, row in ascending.items():
         assert row == [count_exact_excursions(t, n, D) for n in range(len(row))]
+
+
+@given(st.integers(0, 120), st.integers(-1, 40), st.integers(1, 6))
+@example(0, 0, 2)
+@example(0, 9, 1)
+@example(7, 0, 3)
+@settings(max_examples=60, deadline=None)
+def test_census_rows_match_single_rows(t_lo, span, D):
+    t_hi = t_lo + span
+    assert list(census_rows(t_lo, t_hi, D)) == [
+        (t, census_row(t, D)) for t in range(t_lo, t_hi + 1)
+    ]
+
+
+def test_census_rows_check_arguments_at_the_call():
+    with pytest.raises(ValueError):
+        census_rows(-1, 5, 2)
+    with pytest.raises(ValueError):
+        census_rows(1, 5, 0)
 
 
 def test_census_cursor_shared_between_threads():

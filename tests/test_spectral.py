@@ -18,6 +18,8 @@ from cuspcensus.spectral import (
     ConstantEnclosure,
     PrecisionExhausted,
     RatInterval,
+    _bracket,
+    _power,
     bounds_two_excursions,
     bounds_two_excursions_range,
     closed_form_count,
@@ -162,8 +164,8 @@ def solve_alpha_in_fresh_interpreter(*tolerances):
 
 
 def test_bisection_deterministic_endpoints():
-    # a coarse bracket cached first is extended, not recomputed; the
-    # endpoints must not depend on that history
+    # a coarse bracket computed first must not change the fine one: the
+    # endpoints may not depend on the history of the process
     fine = f"1/{10**90}"
     coarse = f"1/{10**40}"
     straight = solve_alpha_in_fresh_interpreter(fine)
@@ -171,6 +173,56 @@ def test_bisection_deterministic_endpoints():
     assert straight == resumed
     lo, hi = map(Fraction, straight.split())
     assert 0 < hi - lo <= Fraction(1, 10**90)
+
+
+def _below_alpha(D, m, k):
+    """m/2^k < alpha_D, for 1 < m/2^k < 2.
+
+    There q(z) = (z - 1) p_D(z) = 1 - z^D (2 - z) is negative exactly left
+    of the root, so the test is z^D (2 - z) > 1.  z^D is bounded from both
+    sides with 64 guard bits by directed-rounding powers; only when the
+    bounds straddle 1 is the exact integer comparison made.
+    """
+    bits = k + 64
+    rest = (2 << k) - m  # (2 - z) 2^k
+    one = 1 << (bits + k)
+    if _power(m << 64, D, bits, False) * rest > one:
+        return True
+    if _power(m << 64, D, bits, True) * rest < one:
+        return False
+    return m**D * rest > 1 << k * (D + 1)
+
+
+def _bisection_brackets(D, wanted):
+    """Reference for _bracket: [2 - 2^{1-D}, 2] bisected `steps` times,
+    as integers over 2^(D-1+steps), for each steps in wanted."""
+    lo, hi = (1 << D) - 1, 1 << D
+    k = D - 1
+    brackets = {}
+    for steps in range(1, max(wanted) + 1):
+        mid = lo + hi
+        k += 1
+        if _below_alpha(D, mid, k):
+            lo, hi = mid, hi << 1
+        else:
+            lo, hi = lo << 1, mid
+        if steps in wanted:
+            brackets[steps] = (lo, hi)
+    return brackets
+
+
+@pytest.mark.parametrize("D", [*range(2, 13), 30, 66, 100])
+def test_bracket_equals_bisection(D):
+    wanted = (1, 2, 3, 64, 128, 640, 1280, 2560)
+    expected = _bisection_brackets(D, wanted)
+    assert {steps: _bracket(D, steps) for steps in wanted} == expected
+
+
+def test_bracket_validation():
+    with pytest.raises(ValueError):
+        _bracket(1, 10)
+    with pytest.raises(ValueError):
+        _bracket(3, 0)
 
 
 def test_solve_alpha_validation():
