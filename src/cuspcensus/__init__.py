@@ -54,7 +54,6 @@ from .spectral import (
     AlphaEnclosure,
     ConstantEnclosure,
     PrecisionExhausted,
-    RatInterval,
     bounds_two_excursions,
     bounds_two_excursions_range,
     closed_form_count,
@@ -94,7 +93,6 @@ __all__ = [
     "PSL2Element",
     "PrecisionExhausted",
     "RangeError",
-    "RatInterval",
     "ReciprocalNormalForm",
     "SUITES",
     "Table1Row",

@@ -191,7 +191,7 @@ def conjugacy_class_sizes(t: int) -> Counter:
     """
     if not 1 <= t <= CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
-    return _conjugacy_classes(t)
+    return Counter(_conjugacy_classes(t))
 
 
 def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusRow]:
@@ -207,7 +207,7 @@ def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusR
     if t > cap:
         raise CapExceeded(f"oracle census capped at t <= {cap}, got {t}")
     if t <= CONJUGACY_CAP:
-        sizes = conjugacy_class_sizes(t)
+        sizes = _conjugacy_classes(t)
         if len(sizes) != count_all(t) or set(sizes.values()) != {2}:
             raise RuntimeError(f"cyclic conjugacy classes are not paired at t={t}")
     sizes, runs = _oracle_tally(t)
@@ -293,7 +293,7 @@ def verify_theorem_two_excursions(
     with localcontext(_RATIO_CONTEXT):
         for t in t_list:
             count = count_exact_excursions(t, 1, D)
-            ratio = _ratio_to_limit(count, t, alpha.interval().midpoint(), True)
+            ratio = _ratio_to_limit(count, t, alpha.midpoint(), True)
             errors.append((t, abs(ratio - limit) / limit))
     checks = [
         _below("error_decreases", (D, t1, t2), e2, e1)
@@ -339,7 +339,7 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
         raise ValueError(f"D must be >= 2, got {D}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    alpha_mid = solve_alpha(D, _ALPHA_TOL).interval().midpoint()
+    alpha_mid = solve_alpha(D, _ALPHA_TOL).midpoint()
     d_mid = coefficient_d(D, _ALPHA_TOL).midpoint()
     limit_mid = limit_constant("two_excursions_D", D).midpoint()
     with localcontext(_RATIO_CONTEXT):
@@ -378,9 +378,11 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
 def suite_bijection(t_max: int = 14) -> VerificationReport:
     """Normal forms at every t <= t_max pair up two-to-one under cyclic
     conjugacy into 2^{t-1} classes."""
+    if t_max > CONJUGACY_CAP:
+        raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
     checks = []
     for t in range(1, t_max + 1):
-        sizes = conjugacy_class_sizes(t)
+        sizes = _conjugacy_classes(t)
         checks.append(
             _within("conjugacy_class_count", (t,), len(sizes), count_all(t), 0)
         )

@@ -32,7 +32,8 @@ from .census import (
 )
 from .compositions import census_rows, enumerate_compositions
 from .spectral import (
-    bounds_two_excursions_range, coefficient_d, limit_constant, solve_alpha,
+    PrecisionExhausted, bounds_two_excursions_range, coefficient_d, limit_constant,
+    solve_alpha,
 )
 from .words import EpsilonSeq, reciprocal_word
 
@@ -394,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one subcommand.  Exit status: 0 when it ran (also when the
     reader of stdout closed it early, as `| head` does), 1 when a
-    verification suite failed, 2 on a usage or input error."""
+    verification suite failed, 2 on a usage or input error, or when a
+    certified value could not be resolved (PrecisionExhausted)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.digits < 1:
@@ -410,7 +412,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         emitter.close()
         out.flush()
         return code
-    except ValueError as exc:
+    except (ValueError, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -8,23 +8,22 @@ is the unique positive root of
 and d_D = (alpha_D - 1)/(2 + (D+1)(alpha_D - 2)).  Remarkably the rounded
 value rnd(d_D * alpha_D^t), rnd(x) = floor(x + 1/2), reproduces the exact
 integer count.  Everything in this module that feeds such exact claims is
-computed with certified enclosures.  The hot paths work on scaled
-integers, a real x being held as integers lo <= x * 2^k <= hi:
+computed with certified enclosures of one kind, ``_Dyadic``: a real x is
+held as integers lo <= x * 2^k <= hi, and every operation rounds outward.
 
-- alpha_D is bracketed by [m, m+1]/2^k, the bracket that k-D+1
-  bisection steps would reach: m = floor(alpha_D 2^k) is found by integer
+- alpha_D is bracketed by [m, m+1]/2^K, the bracket that K-D+1
+  bisection steps would reach: m = floor(alpha_D 2^K) is found by integer
   Newton iteration and certified by the signs of the integers
-  2^(kD) p_D(m/2^k) < 0 < 2^(kD) p_D((m+1)/2^k), by Horner's rule.
-- alpha_D^t is formed by binary powering at 2^-(steps+64), every product
-  rounded down for the lower end and up for the upper end, and d_D by
-  floor and ceiling division, so each rounding is directed outward.
-- The geometric sums behind the two-excursion bounds are accumulated per
-  request in the same form: powers rounded outward, sums exact.
+  2^(KD) p_D(m/2^K) < 0 < 2^(KD) p_D((m+1)/2^K), by Horner's rule.
+- d_D, d_D * alpha_D^t, the two-excursion limit constant and bounds
+  are interval expressions in that bracket, read 64 bits below its
+  grid.  ``_refine`` doubles the bisection depth until one is
+  certified.  The hot loops, binary powering and the geometric sums,
+  run on plain integers with every product rounded outward.
 
 The only state kept between calls is a fixed number of recent
-brackets, two integers each.  The derived constants and the last step of
-the bounds use ``RatInterval``, exact rational interval arithmetic.  No
-floating point enters any certified path.
+enclosures of alpha_D and d_D.  No floating point enters any certified
+path.
 
 The one exception is the diagnostic term report at the bottom, which
 tracks the three sums controlling the two-excursion asymptotics; it runs
@@ -38,15 +37,15 @@ d_1 = 0, so the closed form degenerates (|C_{t,1}| = 1, not rnd(0)).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Union
-
-from .compositions import count_bounded
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 RationalLike = Union[int, Fraction]
+_T = TypeVar("_T")
 
 #: working precision, decimal digits, for the diagnostic term report
 REPORT_DPS = 64
@@ -54,7 +53,8 @@ REPORT_DPS = 64
 # with the widest exponent range, so that no large t overflows
 _REPORT_CONTEXT = Context(prec=REPORT_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-_HALF = Fraction(1, 2)
+# guard bits past the bisection depth (closed forms) or the bracket's grid
+_GUARD_BITS = 64
 
 
 class PrecisionExhausted(RuntimeError):
@@ -62,81 +62,78 @@ class PrecisionExhausted(RuntimeError):
     genuinely ambiguous rounding, not a recoverable condition."""
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    """A closed interval with exact rational endpoints.
+class _Dyadic:
+    """The closed interval [lo, hi]/2^k of reals, lo <= hi integers.
 
-    Arithmetic returns intervals containing every pointwise result, so any
-    quantity propagated through RatInterval operations carries a proof of
-    its enclosure.  ``outward`` widens to dyadic endpoints of bounded size,
-    trading tightness for speed.
+    The operands of +, -, * and / share the scale k, or are ints, each
+    the exact point it names.  Every result is rounded outward to the
+    grid of multiples of 2^-k, so it contains every pointwise result;
+    x >> n is x/2^n rounded the same way, and x ** t (for lo >= 0) is
+    binary powering with each product rounded outward.  Instances are
+    never changed after construction: cached ones are shared.
     """
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi", "k")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: int, hi: int, k: int):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]/2^{k}")
+        self.lo, self.hi, self.k = lo, hi, k
 
-    @classmethod
-    def point(cls, x: RationalLike) -> RatInterval:
-        x = Fraction(x)
-        return cls(x, x)
+    def _ends(self, other: Union[_Dyadic, int]) -> tuple[int, int]:
+        """The endpoints of other over 2^k."""
+        if isinstance(other, int):
+            point = other << self.k
+            return point, point
+        if other.k != self.k:
+            raise ValueError(f"scales 2^-{self.k} and 2^-{other.k} differ")
+        return other.lo, other.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    def enclosure(self) -> ConstantEnclosure:
+        unit = 1 << self.k
+        return ConstantEnclosure(Fraction(self.lo, unit), Fraction(self.hi, unit))
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+    def __add__(self, other: Union[_Dyadic, int]) -> _Dyadic:
+        lo, hi = self._ends(other)
+        return _Dyadic(self.lo + lo, self.hi + hi, self.k)
 
-    def __contains__(self, x: RationalLike) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
+    def __sub__(self, other: Union[_Dyadic, int]) -> _Dyadic:
+        lo, hi = self._ends(other)
+        return _Dyadic(self.lo - hi, self.hi - lo, self.k)
 
-    def __add__(self, other: RatInterval) -> RatInterval:
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
+    def __mul__(self, other: Union[_Dyadic, int]) -> _Dyadic:
+        if isinstance(other, int):  # exact
+            ends = self.lo * other, self.hi * other
+            return _Dyadic(min(ends), max(ends), self.k)
+        lo, hi = self._ends(other)
+        if self.lo >= 0 and lo >= 0:
+            low, high = self.lo * lo, self.hi * hi
+        else:
+            products = self.lo * lo, self.lo * hi, self.hi * lo, self.hi * hi
+            low, high = min(products), max(products)
+        return _Dyadic(low >> self.k, -(-high >> self.k), self.k)
 
-    def __sub__(self, other: RatInterval) -> RatInterval:
-        return RatInterval(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: RatInterval) -> RatInterval:
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RatInterval(min(products), max(products))
-
-    def __truediv__(self, other: RatInterval) -> RatInterval:
-        if other.lo <= 0 <= other.hi:
+    def __truediv__(self, other: Union[_Dyadic, int]) -> _Dyadic:
+        lo, hi = self._ends(other)
+        if lo <= 0 <= hi:
             raise ZeroDivisionError("divisor interval contains zero")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return RatInterval(min(quotients), max(quotients))
+        if self.lo >= 0 and lo > 0:
+            low, high = self.lo << self.k, self.hi << self.k
+            return _Dyadic(low // hi, -(-high // lo), self.k)
+        # floor and remainder of each endpoint quotient, times 2^k
+        quotients = [divmod(a << self.k, b) for a in (self.lo, self.hi) for b in (lo, hi)]
+        low = min(q for q, _ in quotients)
+        high = max(q + (r != 0) for q, r in quotients)
+        return _Dyadic(low, high, self.k)
 
-    def scale(self, c: RationalLike) -> RatInterval:
-        c = Fraction(c)
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
+    def __rshift__(self, n: int) -> _Dyadic:
+        return _Dyadic(self.lo >> n, -(-self.hi >> n), self.k)
 
-    def shift(self, c: RationalLike) -> RatInterval:
-        c = Fraction(c)
-        return RatInterval(self.lo + c, self.hi + c)
-
-    def outward(self, bits: int) -> RatInterval:
-        """Round lo down and hi up to multiples of 2^-bits."""
-        unit = 1 << bits
-        return RatInterval(
-            Fraction(math.floor(self.lo * unit), unit),
-            Fraction(math.ceil(self.hi * unit), unit),
-        )
+    def __pow__(self, t: int) -> _Dyadic:
+        if self.lo < 0:
+            raise ValueError("powers are taken of nonnegative intervals only")
+        low = _power(self.lo, t, self.k, False)
+        return _Dyadic(low, _power(self.hi, t, self.k, True), self.k)
 
 
 @dataclass(frozen=True)
@@ -156,15 +153,19 @@ class AlphaEnclosure:
             raise ValueError(f"D must be >= 2, got {self.D}")
         if not Fraction(2) - Fraction(1, 1 << (self.D - 1)) <= self.lo < self.hi < 2:
             raise ValueError("enclosure violates the a-priori bracket")
-        if not (poly_value(self.D, self.lo) < 0 < poly_value(self.D, self.hi)):
+        lo, hi = (
+            _scaled_poly_value(self.D, z.numerator, z.denominator)
+            for z in (self.lo, self.hi)
+        )
+        if not lo < 0 < hi:
             raise ValueError("enclosure does not bracket the root")
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lo, self.hi)
+    def midpoint(self) -> Fraction:
+        return (self.lo + self.hi) / 2
 
 
 @dataclass(frozen=True)
@@ -186,20 +187,15 @@ class ConstantEnclosure:
         return (self.lo + self.hi) / 2
 
 
-def poly_value(D: int, z: RationalLike) -> Fraction:
-    """Exact value of p_D(z) = z^D - z^{D-1} - ... - z - 1 by Horner."""
-    z = Fraction(z)
-    acc = Fraction(1)
+def _scaled_poly_value(D: int, num: int, den: int) -> int:
+    """den^D p_D(num/den) for den > 0, exactly, by Horner's rule on
+    integers; its sign is the sign of p_D(num/den)."""
+    shift = den.bit_length() - 1
+    dyadic = den == 1 << shift  # then den^j is a shift, much cheaper
+    acc = power = 1
     for _ in range(D):
-        acc = acc * z - 1
-    return acc
-
-
-def _scaled_poly_value(D: int, m: int, k: int) -> int:
-    """2^(kD) p_D(m/2^k), exactly, by Horner's rule on integers."""
-    acc = 1
-    for j in range(1, D + 1):
-        acc = acc * m - (1 << k * j)
+        power = power << shift if dyadic else power * den
+        acc = acc * num - power
     return acc
 
 
@@ -224,9 +220,6 @@ def _newton_above(D: int, k: int) -> int:
         x -= step
 
 
-# a fixed number of brackets is kept, enough for the closed forms of a
-# session, whose nearby t share one
-@functools.lru_cache(maxsize=256)
 def _bracket(D: int, steps: int) -> tuple[int, int]:
     """Bracket after exactly `steps` bisections from [2 - 2^{1-D}, 2], as
     integers over 2^K, K = D-1+steps.
@@ -243,19 +236,50 @@ def _bracket(D: int, steps: int) -> tuple[int, int]:
         raise ValueError("at least one bisection step is required")
     k = D - 1 + steps
     hi = _newton_above(D, k)
-    if not _scaled_poly_value(D, hi, k) > 0:
+    if not _scaled_poly_value(D, hi, 1 << k) > 0:
         raise RuntimeError(f"Newton iterate {hi}/2^{k} is not above alpha_{D}")
     # p_D is never 0 on the grid: its only candidate rational roots are +-1
-    while _scaled_poly_value(D, hi - 1, k) > 0:
+    while _scaled_poly_value(D, hi - 1, 1 << k) > 0:
         hi -= 1
     return hi - 1, hi
 
 
-def _bisect(D: int, steps: int) -> tuple[Fraction, Fraction]:
-    """The bracket of ``_bracket`` as exact rationals."""
+# a fixed number of enclosures is kept, enough for the closed forms of a
+# session, whose nearby t share one
+@functools.lru_cache(maxsize=256)
+def _enclosures(D: int, steps: int, k: int) -> tuple[_Dyadic, _Dyadic]:
+    """alpha_D, the bracket after `steps` bisections over 2^k, rounded
+    outward, and d_D = (alpha - 1)/(2 + (D+1)(alpha - 2)) on it.
+
+    The denominator of d_D, (D+1) alpha - 2D, is positive on the bracket:
+    at alpha = 2 - 2^{1-D} it equals 2 - (D+1) 2^{1-D} > 0.
+    """
     lo, hi = _bracket(D, steps)
-    unit = 1 << (D - 1 + steps)
-    return Fraction(lo, unit), Fraction(hi, unit)
+    shift = D - 1 + steps - k
+    alpha = _Dyadic(_rescale(lo, shift, False), _rescale(hi, shift, True), k)
+    return alpha, (alpha - 1) / (alpha * (D + 1) - 2 * D)
+
+
+def _refine(
+    D: int,
+    steps: int,
+    guard: int,
+    evaluate: Callable[[_Dyadic, _Dyadic], Optional[_T]],
+    failure: Optional[str] = None,
+) -> _T:
+    """The first result of evaluate(alpha, d) that is not None, for the
+    enclosures of alpha_D and d_D after steps, 2 steps, 4 steps, ...
+    bisections, each over 2^(steps + guard).
+
+    Given a failure message, it gives up after eight depths and raises
+    PrecisionExhausted with it; without one, it does not give up.
+    """
+    for _ in itertools.count() if failure is None else range(8):
+        result = evaluate(*_enclosures(D, steps, steps + guard))
+        if result is not None:
+            return result
+        steps *= 2
+    raise PrecisionExhausted(failure)
 
 
 def _steps_for(D: int, tol: Fraction) -> int:
@@ -280,16 +304,10 @@ def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosu
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    lo, hi = _bisect(D, _steps_for(D, tol))
-    return AlphaEnclosure(D, lo, hi)
-
-
-def _d_interval(D: int, alpha: RatInterval) -> RatInterval:
-    # (alpha - 1)/(2 + (D+1)(alpha - 2)); the denominator is positive on
-    # the bracket: at alpha = 2(1 - 2^-D) it equals 2 - (D+1) 2^{1-D} > 0
-    num = alpha.shift(-1)
-    den = alpha.shift(-2).scale(D + 1).shift(2)
-    return num / den
+    steps = _steps_for(D, tol)
+    lo, hi = _bracket(D, steps)
+    unit = 1 << (D - 1 + steps)
+    return AlphaEnclosure(D, Fraction(lo, unit), Fraction(hi, unit))
 
 
 def coefficient_d(D: int, tol: RationalLike = Fraction(1, 10**12)) -> ConstantEnclosure:
@@ -304,13 +322,12 @@ def coefficient_d(D: int, tol: RationalLike = Fraction(1, 10**12)) -> ConstantEn
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    steps = 64
-    while True:
-        lo, hi = _bisect(D, steps)
-        img = _d_interval(D, RatInterval(lo, hi))
-        if img.width <= tol:
-            return ConstantEnclosure(img.lo, img.hi)
-        steps *= 2
+
+    def narrow(alpha: _Dyadic, d: _Dyadic) -> Optional[ConstantEnclosure]:
+        enc = d.enclosure()
+        return enc if enc.width <= tol else None
+
+    return _refine(D, 64, D - 1 + _GUARD_BITS, narrow)
 
 
 def _quantized_steps(t: int) -> int:
@@ -357,28 +374,17 @@ def closed_form_count(t: int, D: int) -> int:
         raise ValueError(f"t must be >= 0, got {t}")
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
-    steps = _quantized_steps(t)
-    for _ in range(8):
-        lo, hi = _bracket(D, steps)
-        k = D - 1 + steps
-        bits = steps + 64
-        power_lo = _power(_rescale(lo, k - bits, False), t, bits, False)
-        power_hi = _power(_rescale(hi, k - bits, True), t, bits, True)
-        # d = (a - 2^k)/(2^(k+1) + (D+1)(a - 2^(k+1))) at alpha = a/2^k;
-        # numerator and denominator rise with alpha and are positive on
-        # the bracket, so the lower end divides at lo by the value at hi
-        num_lo, num_hi = (lo - (1 << k)) << bits, (hi - (1 << k)) << bits
-        den_lo = (2 << k) + (D + 1) * (lo - (2 << k))
-        den_hi = (2 << k) + (D + 1) * (hi - (2 << k))
-        # d alpha^t and 1/2 over 2^(2 bits)
-        x_lo = num_lo // den_hi * power_lo
-        x_hi = -(-num_hi // den_lo) * power_hi
-        half = 1 << (2 * bits - 1)
-        n_lo = (x_lo + half) >> (2 * bits)
-        if n_lo == (x_hi + half) >> (2 * bits):
-            return n_lo
-        steps *= 2
-    raise PrecisionExhausted(f"rounding of d*alpha^t stayed ambiguous at t={t}, D={D}")
+
+    def rounded(alpha: _Dyadic, d: _Dyadic) -> Optional[int]:
+        x = d * alpha**t
+        half = 1 << (x.k - 1)
+        n = (x.lo + half) >> x.k
+        return n if n == (x.hi + half) >> x.k else None
+
+    return _refine(
+        D, _quantized_steps(t), _GUARD_BITS, rounded,
+        f"rounding of d*alpha^t stayed ambiguous at t={t}, D={D}",
+    )
 
 
 def limit_constant(kind: str, parameter: int) -> ConstantEnclosure:
@@ -398,30 +404,25 @@ def limit_constant(kind: str, parameter: int) -> ConstantEnclosure:
         D = parameter
         if D < 2:
             raise ValueError(f"D must be >= 2, got {D}")
-        steps = 64
-        for _ in range(8):
-            alpha = RatInterval(*_bisect(D, steps))
-            d = _d_interval(D, alpha)
-            power = RatInterval.point(1)
-            for _ in range(D):
-                power = power * alpha
-            img = d * d / (power * alpha.shift(-1))
-            if img.width <= Fraction(1, 10**12):
-                return ConstantEnclosure(img.lo, img.hi)
-            steps *= 2
-        raise PrecisionExhausted(f"limit constant for D={D} did not converge")
+
+        def narrow(alpha: _Dyadic, d: _Dyadic) -> Optional[ConstantEnclosure]:
+            enc = (d * d / (alpha**D * (alpha - 1))).enclosure()
+            return enc if enc.width <= Fraction(1, 10**12) else None
+
+        failure = f"limit constant for D={D} did not converge"
+        return _refine(D, 64, D - 1 + _GUARD_BITS, narrow, failure)
     raise ValueError(f"unknown limit kind {kind!r}")
 
 
-def _geometric_sums(a: int, k: int, bits: int, up: bool) -> Iterator[tuple[int, int, int]]:
+def _geometric_sums(a: int, k: int, up: bool) -> Iterator[tuple[int, int, int]]:
     """G(N) = sum alpha^u, W(N) = sum (u+1) alpha^u and GG(N) = sum G(u),
     u = 0..N, for N = 0, 1, 2, ... and alpha = a/2^k, as integers over
-    2^bits.
+    2^k.
 
     Each power alpha^u is alpha^(u-1) * alpha rounded down, or up when
     `up`; the sums of the rounded powers are exact.
     """
-    power = g = w = gg = 1 << bits
+    power = g = w = gg = 1 << k
     u = 0
     while True:
         yield g, w, gg
@@ -471,34 +472,30 @@ def bounds_two_excursions_range(
             continue
         if _quantized_steps(t) != depth:
             depth = _quantized_steps(t)
-            lo, hi = _bracket(D, depth)
-            k = D - 1 + depth
-            bits = depth + 64
+            k = depth + _GUARD_BITS
+            alpha, d = _enclosures(D, depth, k)
             sums = zip(
-                _geometric_sums(lo, k, bits, False), _geometric_sums(hi, k, bits, True)
+                _geometric_sums(alpha.lo, k, False), _geometric_sums(alpha.hi, k, True)
             )
             summed = -1  # the largest N read from sums
-            alpha = RatInterval(*_bisect(D, depth))
-            d = _d_interval(D, alpha)
+            d_squared, d_over_gap = d * d, d / (alpha - 1)
         while summed < n_terms:
             sums_lo, sums_hi = next(sums)
             summed += 1
-        g, w, gg = (
-            RatInterval(Fraction(low, 1 << bits), Fraction(high, 1 << bits))
-            for low, high in zip(sums_lo, sums_hi)
-        )
+        g, w, gg = (_Dyadic(low, high, k) for low, high in zip(sums_lo, sums_hi))
         # with N = t - D - 1 and sums over u = 0..N:
         #   s1 = d^2 sum (u+1) alpha^u            (the dominant term)
         #   s2 = d (alpha G(N) - (N+1))/(alpha-1) (left-of-run geometric part)
         #   s3 = d GG(N)                          (right-of-run geometric part)
         #   s4 = (N+1)(N+2)/8                     (the constant 1/4 per cell)
-        s1 = d * d * w
-        s2 = d * (alpha * g - RatInterval.point(n_terms + 1)) / alpha.shift(-1)
+        s1 = d_squared * w
+        s2 = d_over_gap * (alpha * g - (n_terms + 1))
         s3 = d * gg
-        s4 = RatInterval.point(Fraction((n_terms + 1) * (n_terms + 2), 8))
-        lower = s1 - s2.scale(_HALF) - s3.scale(_HALF) + s4
-        upper = s1 + s2.scale(_HALF) + s3.scale(_HALF) + s4
-        yield t, lower.lo, upper.hi
+        s4 = (n_terms + 1) * (n_terms + 2) << (k - 3)  # exact, over 2^k
+        s4 = _Dyadic(s4, s4, k)
+        half = (s2 + s3) >> 1
+        lower, upper = s1 - half + s4, s1 + half + s4
+        yield t, Fraction(lower.lo, 1 << k), Fraction(upper.hi, 1 << k)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,13 @@ def test_conjugacy_class_sizes():
         conjugacy_class_sizes(15)
     with pytest.raises(CapExceeded):
         conjugacy_class_sizes(0)
+    with pytest.raises(CapExceeded):
+        suite_bijection(15)
+
+
+def test_conjugacy_class_sizes_returns_a_copy():
+    conjugacy_class_sizes(3).clear()
+    assert [row.count for row in oracle_census(3, 1)] == [1, 3]
 
 
 # -- convergence reports ----------------------------------------------------------

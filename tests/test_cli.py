@@ -114,9 +114,30 @@ def test_bounds_sandwich_rendered_outward():
      "1e7d99a8e4741b627a8c482b180b011f73e2584a885d9b52631022df5db2b847"),
     (["bounds", "--t", "1", "--t-max", "600", "--D", "3"],
      "ca54b97c4eff44ae70f2d23cfd7685cb0b6c92c068c4422b7c804bfc0feef0c1"),
+    (["alpha", "--D", "2"],
+     "2f5a7687abe09b0f901b260685efe271743935ae5a617bfae70630723f6fa574"),
+    (["alpha", "--D", "3"],
+     "7758c06fe8b2b78a5f3a083cd998602edb8c3ec71085b4797dc09d5d8d30c90c"),
+    (["alpha", "--D", "5"],
+     "bc9216910c5b3669841fa747e2399044c5e2c01210d778dc62d0c8521477afa8"),
+    (["alpha", "--D", "12"],
+     "6996b72b8d06a37ced79b28a196292d143d36623c763725610f563ac144bd716"),
+    (["alpha", "--D", "40"],
+     "6cc3ba0907f30d731262f3f5e097b481668bd59b7a5bcd62ba2883a4cb4bcedb"),
+    (["constants", "--D", "2", "--n", "2"],
+     "14a38e6bdfeedffa1525419984c0b53f529d86b223b0b338e1ef51285577c7fa"),
+    (["constants", "--D", "3", "--n", "2"],
+     "94030b3f4020d07790a7c0a9a980b692150e7f3b3f2cf1e21b574950febedf83"),
+    (["constants", "--D", "5", "--n", "2"],
+     "36552270c2a483c4f0f434f455c477b4dab1505c176f74f1cadf560579e04df6"),
+    (["constants", "--D", "12", "--n", "2"],
+     "d5afcc10e74f144c4a34e37a926a83a20edba657f582d30c1077fed771b8660e"),
+    (["constants", "--D", "40", "--n", "2"],
+     "c7001dffce2bd326fea2f4ca45706ee445e749472626dd5689f1d31f93963384"),
 ])
 def test_bounds_output_pinned(argv, digest):
-    # the printed bounds are certified values, pinned here to the digit
+    # the printed bounds, growth rates and constants are certified
+    # values, pinned here to the digit
     code, out, _ = run(argv + ["--format", "csv"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -186,6 +207,21 @@ def test_usage_errors_exit_two():
         code, _, err = run(argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_precision_exhausted_exits_two(monkeypatch):
+    # a certified value that cannot be resolved is reported, not a
+    # traceback, and not the status of a failed suite
+    import cuspcensus.cli as cli
+    from cuspcensus.spectral import PrecisionExhausted
+
+    def exhausted(kind, parameter):
+        raise PrecisionExhausted("limit constant did not converge")
+
+    monkeypatch.setattr(cli, "limit_constant", exhausted)
+    code, _, err = run(["constants", "--D", "3"])
+    assert code == 2
+    assert err == "error: limit constant did not converge\n"
 
 
 def test_zero_tolerance_is_legal():

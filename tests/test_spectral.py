@@ -1,6 +1,7 @@
 """Tests for spectral: root enclosures, derived constants, closed-form
 counts, certified bounds, term diagnostics."""
 
+import ast
 import math
 import os
 import subprocess
@@ -17,26 +18,39 @@ from cuspcensus.spectral import (
     AlphaEnclosure,
     ConstantEnclosure,
     PrecisionExhausted,
-    RatInterval,
     _bracket,
+    _Dyadic,
     _power,
+    _scaled_poly_value,
     bounds_two_excursions,
     bounds_two_excursions_range,
     closed_form_count,
     coefficient_d,
     excursion_term_report,
     limit_constant,
-    poly_value,
     solve_alpha,
 )
 
-rationals = st.fractions(
-    min_value=-8, max_value=8, max_denominator=64
-)
+#: scale of the intervals in the interval-arithmetic tests
+K = 12
+
+grid_points = st.integers(-8 << K, 8 << K)
+rationals = st.fractions(min_value=-8, max_value=8, max_denominator=1 << 20)
 
 
 def interval_around(a, b):
-    return RatInterval(min(a, b), max(a, b))
+    return _Dyadic(min(a, b), max(a, b), K)
+
+
+def encloses(interval, x):
+    lo, hi = (Fraction(end, 1 << interval.k) for end in (interval.lo, interval.hi))
+    return lo <= x <= hi
+
+
+def clamp(x, interval):
+    """The point of the interval nearest to x."""
+    unit = 1 << interval.k
+    return min(max(x, Fraction(interval.lo, unit)), Fraction(interval.hi, unit))
 
 
 def sqrt5_bounds(digits):
@@ -51,49 +65,69 @@ def sqrt5_bounds(digits):
 
 def test_interval_validation_and_basics():
     with pytest.raises(ValueError):
-        RatInterval(Fraction(1), Fraction(0))
-    x = RatInterval(Fraction(1, 3), Fraction(1, 2))
-    assert x.width == Fraction(1, 6)
-    assert Fraction(2, 5) in x
-    assert Fraction(2) not in x
+        _Dyadic(1, 0, K)  # empty
+    with pytest.raises(ValueError):
+        _Dyadic(0, 1, K) + _Dyadic(0, 1, K + 1)  # scales differ
+    x = _Dyadic(1, 3, 4)
+    enc = x.enclosure()
+    assert (enc.lo, enc.hi) == (Fraction(1, 16), Fraction(3, 16))
+    assert encloses(x, Fraction(1, 8)) and not encloses(x, Fraction(1, 4))
 
 
-@given(rationals, rationals, rationals, rationals, rationals, rationals)
-def test_interval_arithmetic_encloses_points(a, b, c, d, x, y):
+@given(grid_points, grid_points, grid_points, grid_points, rationals, rationals,
+       st.integers(-5, 5))
+def test_interval_arithmetic_encloses_points(a, b, c, d, x, y, n):
     X, Y = interval_around(a, b), interval_around(c, d)
-    x = min(max(x, X.lo), X.hi)
-    y = min(max(y, Y.lo), Y.hi)
-    assert x + y in X + Y
-    assert x - y in X - Y
-    assert x * y in X * Y
+    x, y = clamp(x, X), clamp(y, Y)
+    assert encloses(X + Y, x + y)
+    assert encloses(X - Y, x - y)
+    assert encloses(X * Y, x * y)
+    assert encloses(X + n, x + n) and encloses(X - n, x - n)
+    assert encloses(X * n, x * n)
     if Y.lo > 0 or Y.hi < 0:
-        assert x / y in X / Y
+        assert encloses(X / Y, x / y)
+    if n:
+        assert encloses(X / n, x / n)
+    if X.lo >= 0:
+        assert encloses(X ** abs(n), x ** abs(n))
 
 
-@given(rationals, rationals, st.integers(1, 40))
+@given(grid_points, grid_points, st.integers(0, 40))
 def test_interval_outward_contains(a, b, bits):
+    # x >> bits is x / 2^bits rounded outward to the grid, by under one step
     X = interval_around(a, b)
-    out = X.outward(bits)
-    assert out.lo <= X.lo and X.hi <= out.hi
-    assert out.width <= X.width + Fraction(2, 1 << bits)
-    assert out.lo.denominator <= 1 << bits and out.hi.denominator <= 1 << bits
+    out = X >> bits
+    assert out.lo << bits <= X.lo and X.hi <= out.hi << bits
+    assert out.hi - out.lo <= Fraction(X.hi - X.lo, 1 << bits) + 2
 
 
 def test_interval_division_by_zero_straddler():
     with pytest.raises(ZeroDivisionError):
-        RatInterval.point(1) / RatInterval(Fraction(-1), Fraction(1))
+        _Dyadic(1 << K, 1 << K, K) / _Dyadic(-1, 1, K)
+    with pytest.raises(ZeroDivisionError):
+        _Dyadic(1 << K, 1 << K, K) / 0
 
 
 # -- the polynomial -------------------------------------------------------------
 
 
+def plain_p(D, z):
+    """p_D(z) = z^D - z^{D-1} - ... - 1 from powers, not by Horner."""
+    return z**D - sum(z**j for j in range(D))
+
+
 def test_poly_value_frozen():
-    assert poly_value(2, 2) == 1
-    assert poly_value(2, 1) == -1
-    assert poly_value(3, Fraction(3, 2)) == Fraction(27, 8) - Fraction(9, 4) - Fraction(5, 2)
+    # den^D p_D(num/den) by integer Horner
+    assert _scaled_poly_value(2, 2, 1) == 1
+    assert _scaled_poly_value(2, 1, 1) == -1
+    assert _scaled_poly_value(3, 3, 2) == 8 * (
+        Fraction(27, 8) - Fraction(9, 4) - Fraction(5, 2)
+    )
     for D in range(2, 16):
-        assert poly_value(D, 2) == 1  # telescoping: 2^D - (2^D - 1)
-        assert poly_value(D, 1) == 1 - D
+        assert _scaled_poly_value(D, 2, 1) == 1  # telescoping: 2^D - (2^D - 1)
+        assert _scaled_poly_value(D, 1, 1) == 1 - D
+        assert _scaled_poly_value(D, 6, 3) == 3**D  # any denominator
+        assert _scaled_poly_value(D, 2 << 40, 1 << 40) == 1 << 40 * D
 
 
 # -- alpha enclosures ------------------------------------------------------------
@@ -101,16 +135,16 @@ def test_poly_value_frozen():
 
 def test_alpha_golden_ratio():
     # alpha_2 solves z^2 - z - 1; certify the digits by exact sign change
-    assert poly_value(2, Fraction("1.6180339887")) < 0
-    assert poly_value(2, Fraction("1.6180339888")) > 0
+    assert plain_p(2, Fraction("1.6180339887")) < 0
+    assert plain_p(2, Fraction("1.6180339888")) > 0
     enc = solve_alpha(2, Fraction(1, 10**12))
     lo5, hi5 = sqrt5_bounds(30)
     assert enc.lo <= (1 + hi5) / 2 and (1 + lo5) / 2 <= enc.hi
 
 
 def test_alpha_tribonacci():
-    assert poly_value(3, Fraction("1.8392867552")) < 0
-    assert poly_value(3, Fraction("1.8392867553")) > 0
+    assert plain_p(3, Fraction("1.8392867552")) < 0
+    assert plain_p(3, Fraction("1.8392867553")) > 0
     enc = solve_alpha(3, Fraction(1, 10**10))
     assert enc.lo <= Fraction("1.8392867553")
     assert Fraction("1.8392867552") <= enc.hi
@@ -120,7 +154,7 @@ def test_alpha_enclosure_invariants():
     for D in range(2, 13):
         enc = solve_alpha(D, Fraction(1, 10**9))
         assert Fraction(2) - Fraction(1, 1 << (D - 1)) <= enc.lo < enc.hi < 2
-        assert poly_value(D, enc.lo) < 0 < poly_value(D, enc.hi)
+        assert plain_p(D, enc.lo) < 0 < plain_p(D, enc.hi)
         assert enc.width <= Fraction(1, 10**9)
 
 
@@ -218,6 +252,22 @@ def test_bracket_equals_bisection(D):
     assert {steps: _bracket(D, steps) for steps in wanted} == expected
 
 
+def test_closed_form_route_does_not_reach_the_dp():
+    # the certified closed form is checked against the DP, so it may not
+    # be computed from it: spectral imports nothing from compositions
+    tree = ast.parse((SRC / "cuspcensus" / "spectral.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(f".{alias.name}" for alias in node.names if node.level)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {
+        name for name in imported if name.split(".")[-1] == "compositions"
+    }, imported
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         _bracket(1, 10)
@@ -311,11 +361,6 @@ def test_closed_form_count_matches_dp():
 @given(st.integers(0, 3000), st.integers(2, 12))
 def test_closed_form_matches_dp_property(t, D):
     assert closed_form_count(t, D) == count_bounded(t, D)
-
-
-def plain_p(D, z):
-    """p_D(z) = z^D - z^{D-1} - ... - 1 from powers, not by Horner."""
-    return z**D - sum(z**j for j in range(D))
 
 
 @settings(deadline=None)
