@@ -1,10 +1,10 @@
 """Census of reciprocal geodesics by word length and excursion count.
 
 Ties the other modules together: the combinatorial counts (compositions),
-the brute-force oracle with its word-level conjugacy check (words), and
-the certified constants (spectral) meet here in cross-checked census
-tables and tolerance-based convergence reports, whose ratios are formed
-in stdlib ``decimal``.
+the brute-force sign-mask oracle, the word-level conjugacy grouping
+(words) and the certified constants (spectral) meet here in cross-checked
+census tables and tolerance-based convergence reports, whose ratios are
+formed in stdlib ``decimal``.
 
 Counts are produced by two unrelated routes and compared cell by cell:
 
@@ -40,7 +40,7 @@ from .compositions import (
     two_excursion_sum,
 )
 from .spectral import (
-    bounds_two_excursions,
+    bounds_two_excursions_range,
     closed_form_count,
     coefficient_d,
     excursion_term_report,
@@ -172,44 +172,31 @@ def _oracle_tally(t: int) -> tuple[Counter, Counter]:
     return Counter(classes.values()), Counter(_run_lengths(t, m) for m in classes)
 
 
-@functools.cache
-def _conjugacy_classes(t: int) -> Counter:
-    """Canonical cyclic forms of the 2^t reciprocal normal forms at size t,
-    with their multiplicities.  Cached per t."""
+def conjugacy_class_sizes(t: int) -> Counter:
+    """Group the 2^t reciprocal normal forms at size t by canonical cyclic
+    form; maps each class representative to its number of normal forms.
+
+    Every class must have size exactly 2.  The census's only word route:
+    recomputed on every call, and capped at t = CONJUGACY_CAP.
+    """
+    if not 1 <= t <= CONJUGACY_CAP:
+        raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
     return Counter(
         str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(_signs_of_mask(t, m))).word))
         for m in range(1 << t)
     )
 
 
-def conjugacy_class_sizes(t: int) -> Counter:
-    """Group the 2^t reciprocal normal forms at size t by canonical cyclic
-    form; maps each class representative to its number of normal forms.
-
-    Every class must have size exactly 2.  Word-level work grows fast, so
-    this is capped at t = CONJUGACY_CAP.
-    """
-    if not 1 <= t <= CONJUGACY_CAP:
-        raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
-    return Counter(_conjugacy_classes(t))
-
-
 def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusRow]:
-    """Brute-force census over sign tuples; independent of the DP route.
-
-    For t within the conjugacy cap, additionally verifies that grouping
-    normal forms by cyclic conjugacy gives classes of size exactly 2.
-    """
+    """Brute-force census over sign masks, independent of the DP route and
+    of the word route.  Checks the two-to-one projectivization before the
+    tally; the cyclic-conjugacy pairing is suite_bijection's check."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     if t > cap:
         raise CapExceeded(f"oracle census capped at t <= {cap}, got {t}")
-    if t <= CONJUGACY_CAP:
-        sizes = _conjugacy_classes(t)
-        if len(sizes) != count_all(t) or set(sizes.values()) != {2}:
-            raise RuntimeError(f"cyclic conjugacy classes are not paired at t={t}")
     sizes, runs = _oracle_tally(t)
     if sizes != {2: count_all(t)}:
         raise RuntimeError(f"projectivization is not two-to-one at t={t}")
@@ -382,7 +369,7 @@ def suite_bijection(t_max: int = 14) -> VerificationReport:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
     checks = []
     for t in range(1, t_max + 1):
-        sizes = _conjugacy_classes(t)
+        sizes = conjugacy_class_sizes(t)
         checks.append(
             _within("conjugacy_class_count", (t,), len(sizes), count_all(t), 0)
         )
@@ -442,11 +429,10 @@ def suite_double_sum(
         )
         checks.append(_within("double_sum_mismatches", (D, t_max), mismatches, 0, 0))
     for D in range(2, bounds_d_max + 1):
-        violations = 0
-        for t in range(1, bounds_t_max + 1):
-            lo, hi = bounds_two_excursions(t, D)
-            if not lo <= count_exact_excursions(t, 1, D) <= hi:
-                violations += 1
+        violations = sum(
+            1 for t, lo, hi in bounds_two_excursions_range(1, bounds_t_max, D)
+            if not lo <= count_exact_excursions(t, 1, D) <= hi
+        )
         checks.append(
             _within("sandwich_violations", (D, bounds_t_max), violations, 0, 0)
         )

@@ -172,12 +172,17 @@ def _t_range(args) -> tuple[int, int]:
     return t_lo, t_hi
 
 
-def _cmd_count(args, emitter: Emitter) -> int:
-    t_lo, t_hi = _t_range(args)
-    rows = census_rows(t_lo, t_hi, args.D)  # rejects a bad --D before n_max
+def _check_n(args, t_hi: int) -> None:
+    """--n, when given, must be in 0..t_hi // (D+1), for a valid --D."""
     n_max = t_hi // (args.D + 1)
     if args.n is not None and not 0 <= args.n <= n_max:
         raise ValueError(f"--n must be in 0..{n_max} for t <= {t_hi}, got {args.n}")
+
+
+def _cmd_count(args, emitter: Emitter) -> int:
+    t_lo, t_hi = _t_range(args)
+    rows = census_rows(t_lo, t_hi, args.D)  # rejects a bad --D before n_max
+    _check_n(args, t_hi)
     for t, row in rows:
         for n, count in enumerate(row):
             if args.n in (None, n):
@@ -308,6 +313,12 @@ def _cmd_verify(args, emitter: Emitter) -> int:
 
 
 def _cmd_enumerate(args, emitter: Emitter) -> int:
+    if args.t < 1:
+        raise ValueError(f"t must be >= 1, got {args.t}")
+    if args.D is not None:
+        if args.D < 1:
+            raise ValueError(f"D must be >= 1, got {args.D}")
+        _check_n(args, args.t)
     for index, comp in enumerate(enumerate_compositions(args.t, args.n, args.D)):
         signs = []
         sign = 1

@@ -1,16 +1,19 @@
 """Tests for census: DP vs oracle rows, verification reports, table rows."""
 
+import io
 import itertools
 import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspcensus import census
 from cuspcensus.census import (
     SUITES,
     CapExceeded,
@@ -34,8 +37,9 @@ from cuspcensus.census import (
     verify_theorem_2n_depth1,
     verify_theorem_two_excursions,
 )
+from cuspcensus.cli import main
 from cuspcensus.compositions import count_all, count_bounded, count_exact_excursions
-from cuspcensus.words import EpsilonSeq, projectivize, run_sequence
+from cuspcensus.words import EpsilonSeq, GroupWord, projectivize, run_sequence
 
 
 # -- check plumbing ------------------------------------------------------------
@@ -94,6 +98,32 @@ def test_oracle_census_frozen():
     rows = oracle_census(3, 1)
     assert [(r.n, r.count) for r in rows] == [(0, 1), (1, 3)]
     assert all(r.source == "oracle" for r in rows)
+
+
+def test_oracle_census_runs_no_word_route(monkeypatch):
+    # the mask oracle is a route of its own: it must never group normal
+    # forms by cyclic conjugacy
+    def no_words(word):
+        raise AssertionError("the oracle reached the word route")
+
+    monkeypatch.setattr(census, "canonical_cyclic_form", no_words)
+    assert [(r.t, r.D, r.n, r.count) for r in oracle_census(12, 2)] == [
+        (r.t, r.D, r.n, r.count) for r in excursion_census(12, 2)
+    ]
+
+
+def test_bijection_suite_reports_an_unpaired_word_route(monkeypatch):
+    # a word route that merges every normal form into one class fails the
+    # suite through its checks: exit 1, FAIL lines, no traceback
+    monkeypatch.setattr(
+        census, "canonical_cyclic_form", lambda word: GroupWord.from_string("ab")
+    )
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--suite", "bijection"])
+    assert code == 1
+    assert " FAIL " in out.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 def test_oracle_matches_dp():

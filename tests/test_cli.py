@@ -134,11 +134,25 @@ def test_bounds_sandwich_rendered_outward():
      "d5afcc10e74f144c4a34e37a926a83a20edba657f582d30c1077fed771b8660e"),
     (["constants", "--D", "40", "--n", "2"],
      "c7001dffce2bd326fea2f4ca45706ee445e749472626dd5689f1d31f93963384"),
+    (["count", "--t-max", "1000", "--D", "1", "--format", "json-lines"],
+     "cde8e188e3e7886b12c3d6080b07437f94e9bb6728f1183216477acc8784eec4"),
+    (["count", "--t", "2000", "--D", "3", "--format", "csv"],
+     "5cd62ea1b36a2795da4f0c84054caf7eb5f2da918fd186936252e35e99a2b919"),
+    (["verify", "--suite", "bijection", "--format", "json-lines"],
+     "906f509a7928bbf92cd7e627e283eced4ed3da94d0c0836987900b87188d8c8f"),
+    (["verify", "--suite", "partition", "--oracle-max-t", "16",
+      "--format", "json-lines"],
+     "4a3ed6bc07ee4421ac75e3453cb65870221e5a3aae7343898bf0b4831cddb7e4"),
+    (["verify", "--suite", "double-sum", "--format", "json-lines"],
+     "5195cc6a6ebf9c21d3ff7029b3d42653bfeedff31d13589a4959a440fd26e6f2"),
 ])
 def test_bounds_output_pinned(argv, digest):
     # the printed bounds, growth rates and constants are certified
-    # values, pinned here to the digit
-    code, out, _ = run(argv + ["--format", "csv"])
+    # values, and counts and suite reports are exact: all are pinned here
+    # to the byte, in csv unless the case names its format
+    if "--format" not in argv:
+        argv = argv + ["--format", "csv"]
+    code, out, _ = run(argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -203,6 +217,9 @@ def test_usage_errors_exit_two():
         ["count", "--t", "3", "--D", "2", "--n", "-1"],
         ["count", "--t", "3", "--D", "2", "--n", "2"],
         ["count", "--t", "3", "--D", "-1", "--n", "0"],
+        ["enumerate", "--t", "3", "--n", "5", "--D", "1"],
+        ["enumerate", "--t", "0"],
+        ["enumerate", "--t", "3", "--n", "0", "--D", "-1"],
     ):
         code, _, err = run(argv)
         assert code == 2, argv
