@@ -79,7 +79,7 @@ class CensusRow:
     D: int
     n: int
     count: int
-    source: str  # "dp" | "closed_form" | "oracle"
+    source: str  # "dp" | "oracle"
 
 
 @dataclass(frozen=True)

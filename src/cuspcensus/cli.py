@@ -6,8 +6,10 @@ and csv.  Exact counts are serialized as decimal strings in the machine
 formats so they round-trip losslessly; floating-point fields carry an
 explicit digits-of-precision companion field.  Output is byte-identical
 across runs with the same arguments.  Json-lines and csv records are
-written as they are emitted; the table format is written at the end,
-once its column widths are known.
+written as they are emitted, so `verify` prints each suite as it
+finishes, and the lines of the suites before one that fails with exit 2
+are already written; the table format is written at the end, once its
+column widths are known.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .census import (
-    DEFAULT_ORACLE_CAP,
-    SUITES,
-    suite_lemma33,
-    suite_partition,
-    suite_thm32,
-    suite_thm34,
-    table1,
-)
-from .compositions import census_rows, enumerate_compositions
+from .census import DEFAULT_ORACLE_CAP, SUITES, table1
+from .compositions import census_rows, count_exact_excursions, enumerate_compositions
 from .spectral import (
     PrecisionExhausted, bounds_two_excursions_range, coefficient_d, limit_constant,
     solve_alpha,
@@ -39,6 +33,7 @@ from .words import EpsilonSeq, reciprocal_word
 
 
 _JSON = json.JSONEncoder(separators=(", ", ": "))
+_UNIT = "\x1f"
 
 
 def _int_str(n: int) -> str:
@@ -70,70 +65,10 @@ def _decimal_ceil(x: Fraction, digits: int) -> str:
     return _fixed_point(math.ceil(x * 10**digits), digits)
 
 
-def _number_token(value, digits: int) -> str:
-    """Serialize for output: ints and rationals exactly, floats at the
-    declared precision."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return _int_str(value)
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return _int_str(value.numerator)
-        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
-    return f"{value:.{digits}g}"
-
-
-class Emitter:
-    """Writes records with a fixed column set in the requested format.
-
-    Json-lines and csv are streamed, one line per record, so output starts
-    at once and memory does not grow with the record count; csv writes
-    its header with the first record.  The human table is buffered until
-    close, because its columns are aligned to the widest cell.
-    """
-
-    def __init__(self, fmt: str, digits: int, out):
-        self.fmt = fmt
-        self.digits = digits
-        self.out = out
-        self.records: list[dict] = []
-        self.keys: Optional[list[str]] = None
-
-    def emit(self, record: dict) -> None:
-        if self.fmt == "json-lines":
-            self.out.write(_JSON.encode(record) + "\n")
-        elif self.fmt == "csv":
-            if self.keys is None:
-                self.keys = list(record)
-                self.out.write(",".join(self.keys) + "\n")
-            self.out.write(
-                ",".join("" if record[k] is None else str(record[k]) for k in self.keys)
-                + "\n"
-            )
-        else:
-            self.records.append(record)
-
-    def close(self) -> None:
-        if not self.records:
-            return
-        keys = list(self.records[0])
-        cells = [
-            [("-" if rec[k] is None else str(rec[k])) for k in keys]
-            for rec in self.records
-        ]
-        widths = [
-            max(len(k), max(len(row[i]) for row in cells))
-            for i, k in enumerate(keys)
-        ]
-        self.out.write(
-            "  ".join(k.ljust(widths[i]) for i, k in enumerate(keys)) + "\n"
-        )
-        for row in cells:
-            self.out.write(
-                "  ".join(c.ljust(widths[i]) for i, c in enumerate(row)).rstrip()
-                + "\n"
-            )
+def _enclosure_fields(enc, digits: int) -> dict:
+    """An enclosure's lo and hi, rounded outward to `digits` decimals."""
+    return {"lo": _decimal_floor(enc.lo, digits), "hi": _decimal_ceil(enc.hi, digits),
+            "digits": digits}
 
 
 def _general_format(value, digits: int) -> str:
@@ -145,17 +80,62 @@ def _general_format(value, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _float_fields(rec: dict, digits: int, *names: str) -> dict:
-    """Format the named float fields at the declared precision and attach
-    the precision marker."""
-    out = dict(rec)
-    for name in names:
-        if out.get(name) is not None:
-            out[name] = _general_format(out[name], digits)
-            out[f"{name}_digits"] = digits
+def _number_token(value, digits: int) -> str:
+    """Serialize for output: ints and rationals exactly, floats at the
+    declared precision."""
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        if value.denominator == 1:
+            return _int_str(value.numerator)
+        return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    return _general_format(value, digits)
+
+
+class Emitter:
+    """Writes records with a fixed column set in the requested format.
+
+    Json-lines and csv are streamed, one line per record, so output starts
+    at once and memory does not grow with the record count; csv writes
+    its header with the first record.  The human table is held until
+    close, because its columns are aligned to the widest cell: it keeps
+    each record's cells as one string, joined by the ASCII unit separator
+    that no cell contains, and a running width per column.
+    """
+
+    def __init__(self, fmt: str, digits: int, out):
+        self.fmt = fmt
+        self.digits = digits
+        self.out = out
+        self.keys: Optional[list[str]] = None
+        self.rows: list[str] = []
+        self.widths: list[int] = []
+
+    def emit(self, record: dict) -> None:
+        if self.fmt == "json-lines":
+            self.out.write(_JSON.encode(record) + "\n")
+            return
+        if self.keys is None:
+            self.keys = list(record)
+            self.widths = [len(k) for k in self.keys]
+            if self.fmt == "csv":
+                self.out.write(",".join(self.keys) + "\n")
+        if self.fmt == "csv":
+            self.out.write(
+                ",".join("" if record[k] is None else str(record[k]) for k in self.keys)
+                + "\n"
+            )
         else:
-            out[f"{name}_digits"] = None
-    return out
+            row = ["-" if record[k] is None else str(record[k]) for k in self.keys]
+            self.widths = list(map(max, self.widths, map(len, row)))
+            self.rows.append(_UNIT.join(row))
+
+    def close(self) -> None:
+        if not self.rows:
+            return
+        self.out.write("  ".join(map(str.ljust, self.keys, self.widths)) + "\n")
+        for row in self.rows:
+            cells = row.split(_UNIT)
+            self.out.write("  ".join(map(str.ljust, cells, self.widths)).rstrip() + "\n")
 
 
 def _t_range(args) -> tuple[int, int]:
@@ -193,37 +173,18 @@ def _cmd_count(args, emitter: Emitter) -> int:
 
 def _cmd_alpha(args, emitter: Emitter) -> int:
     enc = solve_alpha(args.D, Fraction(1, 10 ** (args.digits + 2)))
-    emitter.emit(
-        {
-            "D": args.D,
-            "lo": _decimal_floor(enc.lo, args.digits),
-            "hi": _decimal_ceil(enc.hi, args.digits),
-            "digits": args.digits,
-        }
-    )
+    emitter.emit({"D": args.D, **_enclosure_fields(enc, args.digits)})
     return 0
 
 
 def _cmd_constants(args, emitter: Emitter) -> int:
     tol = Fraction(1, 10 ** (args.digits + 2))
-    d = coefficient_d(args.D, tol)
-    emitter.emit(
-        {
-            "kind": "coefficient_d", "D": args.D, "n": None,
-            "lo": _decimal_floor(d.lo, args.digits),
-            "hi": _decimal_ceil(d.hi, args.digits),
-            "digits": args.digits,
-        }
-    )
-    lim = limit_constant("two_excursions_D", args.D)
-    emitter.emit(
-        {
-            "kind": "two_excursions_limit", "D": args.D, "n": None,
-            "lo": _decimal_floor(lim.lo, args.digits),
-            "hi": _decimal_ceil(lim.hi, args.digits),
-            "digits": args.digits,
-        }
-    )
+    for kind, enc in (
+        ("coefficient_d", coefficient_d(args.D, tol)),
+        ("two_excursions_limit", limit_constant("two_excursions_D", args.D, tol)),
+    ):
+        emitter.emit({"kind": kind, "D": args.D, "n": None,
+                      **_enclosure_fields(enc, args.digits)})
     if args.n is not None:
         exact = limit_constant("depth_one_2n", args.n)
         emitter.emit(
@@ -238,17 +199,19 @@ def _cmd_constants(args, emitter: Emitter) -> int:
 
 def _cmd_table1(args, emitter: Emitter) -> int:
     for row in table1(args.t, args.D, args.n if args.n is not None else 3):
-        rec = {
-            "family": row.family, "t": row.t, "D": row.D, "n": row.n,
-            "exact": _int_str(row.exact), "approx": row.approx,
-        }
-        emitter.emit(_float_fields(rec, args.digits, "approx"))
+        known = row.approx is not None
+        emitter.emit(
+            {
+                "family": row.family, "t": row.t, "D": row.D, "n": row.n,
+                "exact": _int_str(row.exact),
+                "approx": _general_format(row.approx, args.digits) if known else None,
+                "approx_digits": args.digits if known else None,
+            }
+        )
     return 0
 
 
 def _cmd_bounds(args, emitter: Emitter) -> int:
-    from .compositions import count_exact_excursions
-
     t_lo, t_hi = _t_range(args)
     for t, lo, hi in bounds_two_excursions_range(t_lo, t_hi, args.D):
         count = count_exact_excursions(t, 1, args.D)
@@ -277,23 +240,15 @@ def _tolerance(text: str) -> Fraction:
 
 def _cmd_verify(args, emitter: Emitter) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    tolerance = _tolerance(args.tolerance) if args.tolerance is not None else None
+    tolerance = {} if args.tolerance is None else {"tolerance": _tolerance(args.tolerance)}
     if args.oracle_max_t < 1:
         raise ValueError(f"--oracle-max-t must be >= 1, got {args.oracle_max_t}")
-    reports = []
-    for name in names:
-        if name == "partition":
-            reports.append(suite_partition(oracle_max_t=args.oracle_max_t))
-        elif name == "thm32" and tolerance is not None:
-            reports.append(suite_thm32(tolerance=tolerance))
-        elif name == "thm34" and tolerance is not None:
-            reports.append(suite_thm34(tolerance=tolerance))
-        elif name == "lemma33" and tolerance is not None:
-            reports.append(suite_lemma33(tolerance=tolerance))
-        else:
-            reports.append(SUITES[name]())
+    # the keywords each suite is called with; the others run at their defaults
+    options = {"partition": {"oracle_max_t": args.oracle_max_t},
+               "thm32": tolerance, "thm34": tolerance, "lemma33": tolerance}
     all_passed = True
-    for report in reports:
+    for name in names:
+        report = SUITES[name](**options.get(name, {}))
         for check in report.checks:
             all_passed &= check.passed
             emitter.emit(
@@ -309,6 +264,8 @@ def _cmd_verify(args, emitter: Emitter) -> int:
                     + ("-relative" if check.relative else ""),
                 }
             )
+        # stdout to a pipe is block-buffered: pass each suite on when it ends
+        emitter.out.flush()
     return 0 if all_passed else 1
 
 

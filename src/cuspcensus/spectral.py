@@ -310,6 +310,22 @@ def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosu
     return AlphaEnclosure(D, Fraction(lo, unit), Fraction(hi, unit))
 
 
+def _narrowed(
+    D: int, tol: RationalLike, constant: Callable[[_Dyadic, _Dyadic], _Dyadic]
+) -> ConstantEnclosure:
+    """The enclosure of constant(alpha, d), refined from 64 bisection steps
+    until its width is at most tol, with no cap on the depth."""
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+
+    def narrow(alpha: _Dyadic, d: _Dyadic) -> Optional[ConstantEnclosure]:
+        enc = constant(alpha, d).enclosure()
+        return enc if enc.width <= tol else None
+
+    return _refine(D, 64, D - 1 + _GUARD_BITS, narrow)
+
+
 def coefficient_d(D: int, tol: RationalLike = Fraction(1, 10**12)) -> ConstantEnclosure:
     """Certified enclosure of d_D = (alpha_D - 1)/(2 + (D+1)(alpha_D - 2)).
 
@@ -319,15 +335,7 @@ def coefficient_d(D: int, tol: RationalLike = Fraction(1, 10**12)) -> ConstantEn
     """
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-
-    def narrow(alpha: _Dyadic, d: _Dyadic) -> Optional[ConstantEnclosure]:
-        enc = d.enclosure()
-        return enc if enc.width <= tol else None
-
-    return _refine(D, 64, D - 1 + _GUARD_BITS, narrow)
+    return _narrowed(D, tol, lambda alpha, d: d)
 
 
 def _quantized_steps(t: int) -> int:
@@ -387,11 +395,14 @@ def closed_form_count(t: int, D: int) -> int:
     )
 
 
-def limit_constant(kind: str, parameter: int) -> ConstantEnclosure:
+def limit_constant(
+    kind: str, parameter: int, tol: RationalLike = Fraction(1, 10**12)
+) -> ConstantEnclosure:
     """Certified enclosure of an asymptotic limit constant.
 
     kind "two_excursions_D" with parameter D: the constant
-    d_D^2/(alpha_D^D (alpha_D - 1)) governing counts with one part > D.
+    d_D^2/(alpha_D^D (alpha_D - 1)) governing counts with one part > D,
+    of width at most tol.
     kind "depth_one_2n" with parameter n: the constant 1/(2n)! governing
     depth-1 counts with n parts > 1; exact, so a zero-width enclosure.
     """
@@ -404,13 +415,7 @@ def limit_constant(kind: str, parameter: int) -> ConstantEnclosure:
         D = parameter
         if D < 2:
             raise ValueError(f"D must be >= 2, got {D}")
-
-        def narrow(alpha: _Dyadic, d: _Dyadic) -> Optional[ConstantEnclosure]:
-            enc = (d * d / (alpha**D * (alpha - 1))).enclosure()
-            return enc if enc.width <= Fraction(1, 10**12) else None
-
-        failure = f"limit constant for D={D} did not converge"
-        return _refine(D, 64, D - 1 + _GUARD_BITS, narrow, failure)
+        return _narrowed(D, tol, lambda alpha, d: d * d / (alpha**D * (alpha - 1)))
     raise ValueError(f"unknown limit kind {kind!r}")
 
 

@@ -232,7 +232,7 @@ def test_precision_exhausted_exits_two(monkeypatch):
     import cuspcensus.cli as cli
     from cuspcensus.spectral import PrecisionExhausted
 
-    def exhausted(kind, parameter):
+    def exhausted(kind, parameter, tol=None):
         raise PrecisionExhausted("limit constant did not converge")
 
     monkeypatch.setattr(cli, "limit_constant", exhausted)
@@ -343,3 +343,72 @@ def test_machine_formats_stream_and_table_waits_for_close():
     assert out.getvalue() == ""
     emitter.close()
     assert out.getvalue() == "t  n\n1  -\n"
+
+
+def test_table_aligns_to_the_widest_cell_of_any_row():
+    # the header keeps its padding; each row is stripped on the right
+    out = io.StringIO()
+    emitter = Emitter("table", 12, out)
+    emitter.emit({"t": 1, "word": "ab", "n": None})
+    emitter.emit({"t": 1234, "word": "abaBab", "n": 2})
+    emitter.close()
+    assert out.getvalue() == (
+        "t     word    n\n"
+        "1     ab      -\n"
+        "1234  abaBab  2\n"
+    )
+
+
+@pytest.mark.parametrize("D", [2, 40])
+def test_constants_certify_both_rows_to_the_printed_digits(D):
+    code, out, _ = run(["constants", "--D", str(D), "--digits", "60", "--format", "json-lines"])
+    assert code == 0
+    recs = {r["kind"]: r for r in map(json.loads, out.splitlines())}
+    for kind in ("coefficient_d", "two_excursions_limit"):
+        width = Fraction(recs[kind]["hi"]) - Fraction(recs[kind]["lo"])
+        assert 0 < width <= Fraction(2, 10**60), kind
+
+
+def fake_suites(monkeypatch, failing=()):
+    """Replace every verification suite with a one-check fake; return the
+    log of (name, keywords, stdout so far) for each call."""
+    import cuspcensus.cli as cli
+    from cuspcensus.census import SUITES, Check, VerificationReport
+
+    calls = []
+
+    def fake(name):
+        def suite(**kwargs):
+            calls.append((name, kwargs, sys.stdout.getvalue()))
+            check = Check("fake", (1,), 0, 0, 0, False, "within", name not in failing)
+            return VerificationReport(name, (check,))
+        return suite
+
+    monkeypatch.setattr(cli, "SUITES", {name: fake(name) for name in SUITES})
+    return calls
+
+
+def test_verify_writes_each_suite_before_the_next_starts(monkeypatch):
+    calls = fake_suites(monkeypatch, failing={"thm32"})
+    code, out, _ = run(["verify", "--suite", "all", "--format", "json-lines"])
+    assert code == 1
+    lines = out.splitlines()
+    assert [json.loads(line)["suite"] for line in lines] == [name for name, _, _ in calls]
+    for i, (_, _, seen) in enumerate(calls):
+        assert seen.splitlines() == lines[:i]
+
+
+@pytest.mark.parametrize("extra, tolerance", [
+    ([], {}),
+    (["--tolerance", "1/3"], {"tolerance": Fraction(1, 3)}),
+])
+def test_verify_passes_each_suite_its_options(monkeypatch, extra, tolerance):
+    calls = fake_suites(monkeypatch)
+    code, _, _ = run(["verify", "--oracle-max-t", "7", "--format", "csv", *extra])
+    assert code == 0
+    expected = dict.fromkeys(
+        ["bijection", "closed-form", "double-sum", "matrices"], {}
+    ) | {"partition": {"oracle_max_t": 7}} | dict.fromkeys(
+        ["thm32", "thm34", "lemma33"], tolerance
+    )
+    assert {name: kwargs for name, kwargs, _ in calls} == expected

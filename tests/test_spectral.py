@@ -316,9 +316,13 @@ def test_limit_constant_depth_one():
 
 def test_limit_constant_two_excursions_golden():
     # at D = 2: d^2/(alpha^2 (alpha-1)) = phi/5 = (1+sqrt 5)/10
+    lo5, hi5 = sqrt5_bounds(320)
     enc = limit_constant("two_excursions_D", 2)
-    lo5, hi5 = sqrt5_bounds(30)
-    assert enc.lo <= (1 + hi5) / 10 and (1 + lo5) / 10 <= enc.hi
+    narrow = limit_constant("two_excursions_D", 2, Fraction(1, 10**300))
+    for e in (enc, narrow):
+        assert e.lo <= (1 + hi5) / 10 and (1 + lo5) / 10 <= e.hi
+    assert enc.width <= Fraction(1, 10**12)
+    assert narrow.width <= Fraction(1, 10**300)
 
 
 def test_limit_constant_decreasing_in_depth():
@@ -336,6 +340,8 @@ def test_limit_constant_validation():
         limit_constant("two_excursions_D", 1)
     with pytest.raises(ValueError):
         limit_constant("unknown", 2)
+    with pytest.raises(ValueError):
+        limit_constant("two_excursions_D", 2, 0)
 
 
 # -- rounded closed form -----------------------------------------------------------
