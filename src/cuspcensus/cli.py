@@ -102,9 +102,8 @@ class Emitter:
     that no cell contains, and a running width per column.
     """
 
-    def __init__(self, fmt: str, digits: int, out):
+    def __init__(self, fmt: str, out):
         self.fmt = fmt
-        self.digits = digits
         self.out = out
         self.keys: Optional[list[str]] = None
         self.rows: list[str] = []
@@ -160,14 +159,21 @@ def _check_n(args, t_hi: int) -> None:
 
 
 def _cmd_count(args, emitter: Emitter) -> int:
+    """Census rows of a t-range; with --n, only cell n of each row that
+    has one.  One --n at one t is read alone, not from the kernel's walk
+    up to t."""
     t_lo, t_hi = _t_range(args)
     rows = census_rows(t_lo, t_hi, args.D)  # rejects a bad --D before n_max
     _check_n(args, t_hi)
-    for t, row in rows:
-        for n, count in enumerate(row):
-            if args.n in (None, n):
-                emitter.emit({"t": t, "D": args.D, "n": n,
-                              "count": _int_str(count), "source": "dp"})
+    if args.n is None:
+        cells = ((t, n, count) for t, row in rows for n, count in enumerate(row))
+    elif t_lo == t_hi:
+        cells = [(t_lo, args.n, count_exact_excursions(t_lo, args.n, args.D))]
+    else:
+        cells = ((t, args.n, row[args.n]) for t, row in rows if args.n < len(row))
+    for t, n, count in cells:
+        emitter.emit({"t": t, "D": args.D, "n": n,
+                      "count": _int_str(count), "source": "dp"})
     return 0
 
 
@@ -374,7 +380,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emitter = Emitter(args.format, args.digits, out)
+    emitter = Emitter(args.format, out)
     try:
         code = args.func(args, emitter)
         emitter.close()

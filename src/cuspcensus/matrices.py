@@ -8,6 +8,12 @@ quotient by {I, -I} lands in PSL(2,Z), where A^2 = B^3 = 1.
 Entries are Python integers and grow without bound: the trace of the
 alternating-sign reciprocal word grows geometrically in t, with ratio
 (3 + sqrt 5)/2, so fixed-width arithmetic would overflow near t = 45.
+
+Every :class:`Mat2Z` checks its determinant when it is built.  The
+product of two of them builds a new one, so a chain of products checks
+each step; :func:`evaluate` instead folds a word's generator entries as
+plain integers and builds one matrix at the end, so the determinant of
+each evaluated word is checked once, on the whole product.
 """
 
 from __future__ import annotations
@@ -56,7 +62,11 @@ GEN_A = Mat2Z(0, -1, 1, 0)
 GEN_B = Mat2Z(1, -1, 1, 0)
 GEN_B_INV = Mat2Z(0, 1, -1, 1)
 
-_GENERATOR = {"a": GEN_A, "b": GEN_B, "B": GEN_B_INV}
+# The entries (p, q, r, s) of each syllable's generator, for evaluate.
+_ENTRIES = {
+    syllable: (m.p, m.q, m.r, m.s)
+    for syllable, m in (("a", GEN_A), ("b", GEN_B), ("B", GEN_B_INV))
+}
 
 
 def _leading_sign(m: Mat2Z) -> int:
@@ -99,17 +109,20 @@ def evaluate(w: GroupWord) -> PSL2Element:
     """Evaluate a word under a -> A, b -> B, mod +-I.
 
     Free reduction commutes with evaluation, so the word need not be
-    reduced.
+    reduced.  The product is folded syllable by syllable on four integers,
+    the entries of the running matrix, and one :class:`Mat2Z` is built at
+    the end, so the determinant is checked once, on the whole product.
 
     >>> evaluate(GroupWord.from_string("aa")).is_identity()
     True
     >>> evaluate(GroupWord.from_string("abaB")).trace_abs
     3
     """
-    m = IDENTITY
-    for s in w.syllables:
-        m = m * _GENERATOR[s]
-    return PSL2Element.of(m)
+    p, q, r, s = 1, 0, 0, 1
+    for syllable in w.syllables:
+        gp, gq, gr, gs = _ENTRIES[syllable]
+        p, q, r, s = p * gp + q * gr, p * gq + q * gs, r * gp + s * gr, r * gq + s * gs
+    return PSL2Element.of(Mat2Z(p, q, r, s))
 
 
 def classify(m: PSL2Element) -> str:

@@ -21,14 +21,25 @@ Throughout, the syllable ``b^-1`` is written ``"B"``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
 ALPHABET = ("a", "b", "B")
 
+_SYLLABLES = frozenset(ALPHABET)
+_SIGNS = frozenset((1, -1))
 _B_EXPONENT = {"b": 1, "B": 2}  # exponents mod 3
 _B_TOKEN = {1: "b", 2: "B"}
 _INVERSE_SYLLABLE = {"a": "a", "b": "B", "B": "b"}
+
+# The template's two syllables for a sign, and for its negation.
+_PAIR = {1: "ab", -1: "aB"}
+_NEGATED_PAIR = {1: "aB", -1: "ab"}
+
+# A word is reduced exactly when no two adjacent syllables lie in the same
+# free factor.
+_REDUCIBLE = re.compile("aa|[bB][bB]")
 
 # Fixed total order on syllables used by canonical_cyclic_form: a < b < b^-1.
 _ROTATION_KEY = str.maketrans("abB", "012")
@@ -36,6 +47,15 @@ _ROTATION_KEY = str.maketrans("abB", "012")
 
 class NotNormalForm(ValueError):
     """Raised when a word does not match the reciprocal template."""
+
+
+def _all_in(allowed: frozenset, items) -> bool:
+    """Whether every item is in allowed, by one C-level set test; an
+    unhashable item is not in it."""
+    try:
+        return allowed.issuperset(items)
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -51,7 +71,7 @@ class EpsilonSeq:
     def __post_init__(self):
         if not self.signs:
             raise ValueError("sign tuple must be nonempty")
-        if any(s not in (1, -1) for s in self.signs):
+        if not _all_in(_SIGNS, self.signs):
             raise ValueError(f"signs must be +1 or -1, got {self.signs!r}")
 
     @property
@@ -91,9 +111,11 @@ class GroupWord:
     syllables: tuple[str, ...]
 
     def __post_init__(self):
-        for s in self.syllables:
-            if s not in ALPHABET:
-                raise ValueError(f"invalid syllable {s!r}, expected one of {ALPHABET}")
+        if not _all_in(_SYLLABLES, self.syllables):
+            # only to name the first bad syllable
+            for s in self.syllables:
+                if s not in ALPHABET:
+                    raise ValueError(f"invalid syllable {s!r}, expected one of {ALPHABET}")
 
     @classmethod
     def from_string(cls, text: str) -> GroupWord:
@@ -113,12 +135,7 @@ class GroupWord:
         return GroupWord(tuple(_INVERSE_SYLLABLE[s] for s in reversed(self.syllables)))
 
     def is_reduced(self) -> bool:
-        for prev, cur in zip(self.syllables, self.syllables[1:]):
-            if prev == "a" and cur == "a":
-                return False
-            if prev != "a" and cur != "a":
-                return False
-        return True
+        return _REDUCIBLE.search("".join(self.syllables)) is None
 
 
 @dataclass(frozen=True)
@@ -163,14 +180,10 @@ def reciprocal_word(eps: EpsilonSeq) -> ReciprocalNormalForm:
     >>> str(reciprocal_word(EpsilonSeq((1, -1))).word)
     'abaBabaB'
     """
-    syl = []
-    for e in eps.signs:
-        syl.append("a")
-        syl.append(_B_TOKEN[e % 3])
-    for e in reversed(eps.signs):
-        syl.append("a")
-        syl.append(_B_TOKEN[-e % 3])
-    return ReciprocalNormalForm(eps, GroupWord(tuple(syl)))
+    text = "".join(map(_PAIR.__getitem__, eps.signs)) + "".join(
+        map(_NEGATED_PAIR.__getitem__, reversed(eps.signs))
+    )
+    return ReciprocalNormalForm(eps, GroupWord(tuple(text)))
 
 
 def epsilon_of(w: GroupWord) -> EpsilonSeq:
@@ -239,13 +252,18 @@ def reduce_word(w: GroupWord) -> GroupWord:
     """Fully reduce a word in Z2 * Z3.
 
     Cancels ``aa`` pairs and combines adjacent b-syllables with exponent
-    arithmetic mod 3.  Idempotent and length-nonincreasing.
+    arithmetic mod 3.  Idempotent and length-nonincreasing.  A word that
+    is already reduced (one regular-expression scan of its letters, see
+    :meth:`GroupWord.is_reduced`) is returned as it is; any other word is
+    reduced syllable by syllable on a stack.
 
     >>> str(reduce_word(GroupWord.from_string("aa")))
     '1'
     >>> str(reduce_word(GroupWord.from_string("bb")))
     'B'
     """
+    if w.is_reduced():
+        return w
     stack: list[str] = []
     for s in w.syllables:
         if not stack:
@@ -269,22 +287,21 @@ def reduce_word(w: GroupWord) -> GroupWord:
     return GroupWord(tuple(stack))
 
 
-def _cyclic_reduce(syllables: tuple[str, ...]) -> tuple[str, ...]:
-    """Shorten a reduced word by conjugation until its first and last
-    syllables lie in different free factors (or length <= 1)."""
-    syl = list(syllables)
-    while len(syl) >= 2:
-        first, last = syl[0], syl[-1]
+def _cyclic_reduce(text: str) -> str:
+    """Shorten the letters of a reduced word by conjugation until its first
+    and last syllables lie in different free factors (or length <= 1)."""
+    while len(text) >= 2:
+        first, last = text[0], text[-1]
         if first == "a" and last == "a":
-            syl = syl[1:-1]
+            text = text[1:-1]
         elif first != "a" and last != "a":
             e = (_B_EXPONENT[first] + _B_EXPONENT[last]) % 3
-            syl = syl[1:-1]
+            text = text[1:-1]
             if e:
-                syl.append(_B_TOKEN[e])
+                text += _B_TOKEN[e]
         else:
             break
-    return tuple(syl)
+    return text
 
 
 def canonical_cyclic_form(w: GroupWord) -> GroupWord:
@@ -293,13 +310,20 @@ def canonical_cyclic_form(w: GroupWord) -> GroupWord:
     Reduces, cyclically reduces, then rotates to the least rotation under
     the fixed syllable order a < b < b^-1.  Two reduced words are conjugate
     in Z2 * Z3 exactly when their canonical cyclic forms are equal.
+
+    The least rotation starts with the least letter, so only the rotations
+    starting there are compared, as slices of the doubled word; the first
+    position of the least slice is the rotation returned.
+
+    >>> str(canonical_cyclic_form(GroupWord.from_string("BabaBa")))
+    'abaBaB'
     """
-    syl = _cyclic_reduce(reduce_word(w).syllables)
-    n = len(syl)
+    text = _cyclic_reduce("".join(reduce_word(w).syllables))
+    n = len(text)
     if n <= 1:
-        return GroupWord(syl)
-    text = "".join(syl)
+        return GroupWord(tuple(text))
     keyed = text.translate(_ROTATION_KEY)
     doubled = keyed + keyed
-    best = min(range(n), key=lambda i: doubled[i : i + n])
+    least = min(keyed)
+    best = doubled.index(min(doubled[i : i + n] for i in range(n) if keyed[i] == least))
     return GroupWord(tuple(text[best:] + text[:best]))

@@ -145,6 +145,8 @@ def test_bounds_sandwich_rendered_outward():
      "4a3ed6bc07ee4421ac75e3453cb65870221e5a3aae7343898bf0b4831cddb7e4"),
     (["verify", "--suite", "double-sum", "--format", "json-lines"],
      "5195cc6a6ebf9c21d3ff7029b3d42653bfeedff31d13589a4959a440fd26e6f2"),
+    (["verify", "--suite", "matrices", "--format", "json-lines"],
+     "2bc140634840ad1e0d2bae5d2d46f5bb69ebc1b38b268138dbaf4778dca81087"),
 ])
 def test_bounds_output_pinned(argv, digest):
     # the printed bounds, growth rates and constants are certified
@@ -332,13 +334,41 @@ def test_reader_closing_the_pipe_ends_quietly():
     assert err == b""
 
 
+def test_point_count_reads_one_cell():
+    # the whole row of t = 20000 would walk the kernel for minutes
+    proc = cli_process("count", "--t", "20000", "--D", "2", "--n", "1", "--format", "csv")
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0, err
+    header, row = out.decode().splitlines()
+    assert header == "t,D,n,count,source"
+    assert row.startswith("20000,2,1,") and row.endswith(",dp")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json-lines", "csv"])
+def test_point_count_equals_the_filtered_row(fmt):
+    from cuspcensus.compositions import census_row
+
+    row = census_row(40, 2)
+    for n, count in enumerate(row):
+        expected = io.StringIO()
+        emitter = Emitter(fmt, expected)
+        emitter.emit({"t": 40, "D": 2, "n": n, "count": str(count), "source": "dp"})
+        emitter.close()
+        code, out, _ = run(["count", "--t", "40", "--D", "2", "--n", str(n), "--format", fmt])
+        assert code == 0
+        assert out == expected.getvalue(), n
+
+
 def test_machine_formats_stream_and_table_waits_for_close():
     for fmt, expected in (("json-lines", '{"t": 1, "n": null}\n'), ("csv", "t,n\n1,\n")):
         out = io.StringIO()
-        Emitter(fmt, 12, out).emit({"t": 1, "n": None})
+        Emitter(fmt, out).emit({"t": 1, "n": None})
         assert out.getvalue() == expected, fmt
     out = io.StringIO()
-    emitter = Emitter("table", 12, out)
+    emitter = Emitter("table", out)
     emitter.emit({"t": 1, "n": None})
     assert out.getvalue() == ""
     emitter.close()
@@ -348,7 +378,7 @@ def test_machine_formats_stream_and_table_waits_for_close():
 def test_table_aligns_to_the_widest_cell_of_any_row():
     # the header keeps its padding; each row is stripped on the right
     out = io.StringIO()
-    emitter = Emitter("table", 12, out)
+    emitter = Emitter("table", out)
     emitter.emit({"t": 1, "word": "ab", "n": None})
     emitter.emit({"t": 1234, "word": "abaBab", "n": 2})
     emitter.close()

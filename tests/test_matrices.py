@@ -1,7 +1,9 @@
 """Tests for matrices: generators, PSL canonicalization, classification,
 reciprocity."""
 
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +95,13 @@ def test_evaluate_homomorphism(u, v):
 @given(raw_words)
 def test_evaluate_commutes_with_reduction(w):
     assert evaluate(reduce_word(w)) == evaluate(w)
+
+
+@given(raw_words)
+def test_evaluate_equals_fold_of_generator_products(w):
+    generator = {"a": GEN_A, "b": GEN_B, "B": GEN_B_INV}
+    product = functools.reduce(operator.mul, (generator[s] for s in w.syllables), IDENTITY)
+    assert evaluate(w) == PSL2Element.of(product)
 
 
 @given(raw_words)

@@ -1,6 +1,7 @@
 """Tests for words: templates, sign tuples, runs, reduction, conjugacy."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,43 @@ raw_words = st.lists(st.sampled_from(ALPHABET), min_size=0, max_size=40).map(
     lambda xs: GroupWord(tuple(xs))
 )
 
+_EXPONENT = {"b": 1, "B": 2}
+
+
+def stack_reduced(letters: str) -> str:
+    """Reference free reduction: push each letter, cancelling aa and
+    merging two b-letters by adding their exponents mod 3."""
+    out = []
+    for x in letters:
+        if out and x == "a" == out[-1]:
+            out.pop()
+        elif out and x != "a" != out[-1]:
+            e = (_EXPONENT[out.pop()] + _EXPONENT[x]) % 3
+            if e:
+                out.append(" bB"[e])
+        else:
+            out.append(x)
+    return "".join(out)
+
+
+def least_rotation(letters: str) -> str:
+    """Reference canonical form: reduce, conjugate the last letter to the
+    front while both ends lie in one free factor, then take the least of
+    all rotations under a < b < b^-1."""
+    w = stack_reduced(letters)
+    while len(w) >= 2 and (w[0] == "a") == (w[-1] == "a"):
+        w = stack_reduced(w[-1] + w[:-1])
+    order = str.maketrans("abB", "012")
+    rotations = [w[i:] + w[:i] for i in range(len(w))]
+    return min(rotations, key=lambda r: r.translate(order), default="")
+
+
+def letters(w: GroupWord) -> str:
+    return "".join(w.syllables)
+
+
+reduced_words = raw_words.map(lambda w: GroupWord(tuple(stack_reduced(letters(w)))))
+
 
 # -- sign tuples -------------------------------------------------------------
 
@@ -38,6 +76,20 @@ def test_eps_validation():
         EpsilonSeq((1, 0))
     with pytest.raises(ValueError):
         EpsilonSeq((2,))
+
+
+def test_invalid_items_keep_their_messages():
+    # a set test decides validity; the message still names the bad input
+    for syllables, bad in ((("a", "c", "b"), "'c'"), (("a", ["b"]), "['b']"), (("b", 1), "1")):
+        with pytest.raises(ValueError) as info:
+            GroupWord(syllables)
+        assert str(info.value) == f"invalid syllable {bad}, expected one of ('a', 'b', 'B')"
+    for bad in ((1, 0), (1, -1, 2), (-1, [1])):
+        with pytest.raises(ValueError) as info:
+            EpsilonSeq(bad)
+        assert str(info.value) == f"signs must be +1 or -1, got {bad!r}"
+    assert str(GroupWord(("a", "b", "B"))) == "abB"
+    assert EpsilonSeq((1, -1)).t == 2
 
 
 def test_eps_negate_involution():
@@ -187,6 +239,14 @@ def test_reduce_word_idempotent_and_reduced(w):
     assert len(r) <= len(w)
 
 
+@given(st.one_of(raw_words, reduced_words))
+def test_reduce_word_matches_stack_reference(w):
+    reduced = reduce_word(w)
+    assert letters(reduced) == stack_reduced(letters(w))
+    assert reduced.is_reduced()
+    assert w.is_reduced() == (letters(w) == stack_reduced(letters(w)))
+
+
 @given(raw_words)
 def test_reduce_of_w_winv_is_identity(w):
     assert str(reduce_word(w * w.inverse())) == "1"
@@ -214,6 +274,11 @@ def test_canonical_cyclic_form_rotations_agree():
 def test_canonical_cyclic_form_conjugation_invariant(w, g):
     conj = g * w * g.inverse()
     assert canonical_cyclic_form(conj) == canonical_cyclic_form(w)
+
+
+@given(st.one_of(raw_words, reduced_words, signs.map(lambda e: reciprocal_word(e).word)))
+def test_canonical_cyclic_form_is_the_least_rotation(w):
+    assert letters(canonical_cyclic_form(w)) == least_rotation(letters(w))
 
 
 def test_canonical_cyclic_form_separates_nonconjugates():
