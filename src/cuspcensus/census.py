@@ -141,8 +141,12 @@ def excursion_census(t: int, D: int) -> list[CensusRow]:
     return [CensusRow(t, D, n, count, "dp") for n, count in enumerate(census_row(t, D))]
 
 
+_SIGN_OF_BIT = {"0": 1, "1": -1}
+
+
 def _signs_of_mask(t: int, mask: int) -> tuple[int, ...]:
-    return tuple(-1 if mask >> i & 1 else 1 for i in range(t))
+    """e_{i+1} = -1 where bit i of mask is set, for i < t."""
+    return tuple(map(_SIGN_OF_BIT.__getitem__, format(mask, f"0{t}b")[::-1]))
 
 
 def _run_lengths(t: int, mask: int) -> tuple[int, ...]:
@@ -381,13 +385,15 @@ def suite_bijection(t_max: int = 14) -> VerificationReport:
 def suite_partition(
     t_max: int = 20, d_max: int = 5, oracle_max_t: int = DEFAULT_ORACLE_CAP
 ) -> VerificationReport:
-    """Census rows partition the 2^{t-1} geodesics, and the DP census
-    matches the tuple-space oracle cell by cell for t <= oracle_max_t."""
+    """Census rows partition the 2^{t-1} geodesics, and both DP routes
+    match the tuple-space oracle cell by cell for t <= oracle_max_t: the
+    point rows of excursion_census and the kernel's rows, one pass of
+    census_rows per D."""
     if oracle_max_t < 1:
         raise ValueError(f"oracle_max_t must be >= 1, got {oracle_max_t}")
     checks = []
     for D in range(1, d_max + 1):
-        for t in range(1, t_max + 1):
+        for t, kernel_row in census_rows(1, t_max, D):
             rows = excursion_census(t, D)
             checks.append(
                 _within(
@@ -400,6 +406,9 @@ def suite_partition(
                     1 for a, b in zip(rows, oracle)
                     if (a.t, a.D, a.n, a.count) != (b.t, b.D, b.n, b.count)
                 ) + abs(len(rows) - len(oracle))
+                mismatches += sum(
+                    1 for count, b in zip(kernel_row, oracle) if count != b.count
+                ) + abs(len(kernel_row) - len(oracle))
                 checks.append(_within("dp_vs_oracle_cells", (t, D), mismatches, 0, 0))
     return VerificationReport("partition", tuple(checks))
 
@@ -522,7 +531,9 @@ def suite_lemma33(
 def suite_matrices(t_max: int = 12) -> VerificationReport:
     """Generator relations, parabolicity of ab, and hyperbolicity plus the
     involution factorization of every normal form."""
-    from .matrices import GEN_A, GEN_B, PSL2Element, classify, evaluate, reciprocity_check
+    from .matrices import (
+        GEN_A, GEN_B, PSL2Element, classify, evaluate, factors_through_involution,
+    )
     from .words import GroupWord
 
     a = PSL2Element.of(GEN_A)
@@ -538,9 +549,10 @@ def suite_matrices(t_max: int = 12) -> VerificationReport:
     for t in range(1, t_max + 1):
         bad = 0
         for mask in range(1 << t):
-            eps = EpsilonSeq(_signs_of_mask(t, mask))
-            word = reciprocal_word(eps).word
-            if classify(evaluate(word)) != "hyperbolic" or not reciprocity_check(eps):
+            word = reciprocal_word(EpsilonSeq(_signs_of_mask(t, mask))).word
+            # the full word is evaluated once, for both checks
+            w = evaluate(word)
+            if classify(w) != "hyperbolic" or not factors_through_involution(word, w):
                 bad += 1
         checks.append(_within("non_reciprocal_normal_forms", (t,), bad, 0, 0))
     return VerificationReport("matrices", tuple(checks))

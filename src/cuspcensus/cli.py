@@ -24,7 +24,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .census import DEFAULT_ORACLE_CAP, SUITES, table1
-from .compositions import census_rows, count_exact_excursions, enumerate_compositions
+from .compositions import (
+    census_row, census_rows, count_exact_excursions, enumerate_compositions,
+)
 from .spectral import (
     PrecisionExhausted, bounds_two_excursions_range, coefficient_d, limit_constant,
     solve_alpha,
@@ -33,6 +35,8 @@ from .words import EpsilonSeq, reciprocal_word
 
 
 _JSON = json.JSONEncoder(separators=(", ", ": "))
+# JSONEncoder's own string encoder under ensure_ascii
+_JSON_STR = json.encoder.encode_basestring_ascii
 _UNIT = "\x1f"
 
 
@@ -96,10 +100,13 @@ class Emitter:
 
     Json-lines and csv are streamed, one line per record, so output starts
     at once and memory does not grow with the record count; csv writes
-    its header with the first record.  The human table is held until
-    close, because its columns are aligned to the widest cell: it keeps
-    each record's cells as one string, joined by the ASCII unit separator
-    that no cell contains, and a running width per column.
+    its header with the first record.  A json-lines line is the one
+    JSONEncoder writes: the encoded keys of each key tuple are kept, and
+    each value is encoded by type, an exact str or int directly and any
+    other value by the encoder.  The human table is held until close,
+    because its columns are aligned to the widest cell: it keeps each
+    record's cells as one string, joined by the ASCII unit separator that
+    no cell contains, and a running width per column.
     """
 
     def __init__(self, fmt: str, out):
@@ -108,10 +115,23 @@ class Emitter:
         self.keys: Optional[list[str]] = None
         self.rows: list[str] = []
         self.widths: list[int] = []
+        self.heads: dict[tuple, tuple[str, ...]] = {}
 
     def emit(self, record: dict) -> None:
         if self.fmt == "json-lines":
-            self.out.write(_JSON.encode(record) + "\n")
+            keys = tuple(record)
+            heads = self.heads.get(keys)
+            if heads is None:
+                heads = self.heads[keys] = tuple(_JSON_STR(k) + ": " for k in keys)
+            # int.__repr__ only for an exact int: a bool is written "true"
+            self.out.write("{" + ", ".join([
+                head + (
+                    _JSON_STR(v) if type(v) is str
+                    else int.__repr__(v) if type(v) is int
+                    else _JSON.encode(v)
+                )
+                for head, v in zip(heads, record.values())
+            ]) + "}\n")
             return
         if self.keys is None:
             self.keys = list(record)
@@ -151,8 +171,10 @@ def _t_range(args) -> tuple[int, int]:
     return t_lo, t_hi
 
 
-def _check_n(args, t_hi: int) -> None:
-    """--n, when given, must be in 0..t_hi // (D+1), for a valid --D."""
+def _check_d_and_n(args, t_hi: int) -> None:
+    """--D must be at least 1, and --n, when given, in 0..t_hi // (D+1)."""
+    if args.D < 1:
+        raise ValueError(f"D must be >= 1, got {args.D}")
     n_max = t_hi // (args.D + 1)
     if args.n is not None and not 0 <= args.n <= n_max:
         raise ValueError(f"--n must be in 0..{n_max} for t <= {t_hi}, got {args.n}")
@@ -160,17 +182,21 @@ def _check_n(args, t_hi: int) -> None:
 
 def _cmd_count(args, emitter: Emitter) -> int:
     """Census rows of a t-range; with --n, only cell n of each row that
-    has one.  One --n at one t is read alone, not from the kernel's walk
-    up to t."""
+    has one.  A range is one pass of the kernel.  One t is read alone, not
+    from the kernel's walk up to t: its row by census_row, or with --n its
+    one cell by count_exact_excursions."""
     t_lo, t_hi = _t_range(args)
-    rows = census_rows(t_lo, t_hi, args.D)  # rejects a bad --D before n_max
-    _check_n(args, t_hi)
-    if args.n is None:
-        cells = ((t, n, count) for t, row in rows for n, count in enumerate(row))
-    elif t_lo == t_hi:
-        cells = [(t_lo, args.n, count_exact_excursions(t_lo, args.n, args.D))]
+    _check_d_and_n(args, t_hi)
+    if t_lo < t_hi:
+        rows = census_rows(t_lo, t_hi, args.D)
+        if args.n is None:
+            cells = ((t, n, count) for t, row in rows for n, count in enumerate(row))
+        else:
+            cells = ((t, args.n, row[args.n]) for t, row in rows if args.n < len(row))
+    elif args.n is None:
+        cells = ((t_lo, n, count) for n, count in enumerate(census_row(t_lo, args.D)))
     else:
-        cells = ((t, args.n, row[args.n]) for t, row in rows if args.n < len(row))
+        cells = [(t_lo, args.n, count_exact_excursions(t_lo, args.n, args.D))]
     for t, n, count in cells:
         emitter.emit({"t": t, "D": args.D, "n": n,
                       "count": _int_str(count), "source": "dp"})
@@ -279,9 +305,7 @@ def _cmd_enumerate(args, emitter: Emitter) -> int:
     if args.t < 1:
         raise ValueError(f"t must be >= 1, got {args.t}")
     if args.D is not None:
-        if args.D < 1:
-            raise ValueError(f"D must be >= 1, got {args.D}")
-        _check_n(args, args.t)
+        _check_d_and_n(args, args.t)
     for index, comp in enumerate(enumerate_compositions(args.t, args.n, args.D)):
         signs = []
         sign = 1

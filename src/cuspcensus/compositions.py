@@ -16,12 +16,16 @@ marking the parts bigger than D with y gives
 
     sum_{t,n} count(t, n, D) x^t y^n = (1 - x) / (1 - 2x + (1 - y) x^{D+1}),
 
-read in three ways, none of which keeps a table:
+read in four ways, none of which keeps a table:
 
-* census rows: R_t(y) = sum_n count(t, n, D) y^n obeys
+* census rows of a t-range: R_t(y) = sum_n count(t, n, D) y^n obeys
   R_t = 2 R_{t-1} - (1 - y) R_{t-D-1} for t >= 2, with R_0 = R_1 = 1, so a
   window of the last D+1 rows gives each row in O(row) steps from the one
   before, in O(D * row) memory;
+* one census row alone: in powers of (y - 1) the generating function is
+  sum_j (y - 1)^j (1 - x) x^{j(D+1)} / (1 - 2x)^{j+1}, so R_t has t // (D+1)
+  + 1 coefficients, each one binomial times a power of two (see
+  census_row), with no walk from t = 0;
 * y = 0: the same recurrence on numbers is the bounded count, O(1) per
   step;
 * one coefficient of y^n: a recurrence in t alone, of order D+1 (see
@@ -130,13 +134,36 @@ def census_row(t: int, D: int) -> list[int]:
     than D: entry n is count_exact_excursions(t, n, D), for
     n = 0..t // (D+1).
 
+    In powers of y - 1, R_t(y) = sum_{j=0}^{J} b_j (y - 1)^j with
+    J = t // (D+1) and b_j = [x^t] (1 - x) x^{j(D+1)} / (1 - 2x)^{j+1}.
+    With m = t - j(D+1),
+    b_j = C(m+j, j) 2^{m-1} (m + 2j) / (m + j) for m >= 1, where the
+    division is exact, and b_j = 1 for m = 0.  Every count is below 2^w,
+    w the least multiple of 8 with w >= t, so Horner's rule evaluates R_t
+    at y = 2^w on one integer, and its bytes, cut into w/8-byte pieces,
+    are the row: one binomial per coefficient and no walk from t = 0.
+    That integer is the size of the row returned.
+
     >>> census_row(7, 1)
     [1, 21, 35, 7]
     >>> census_row(4, 2)
     [5, 3]
+    >>> census_row(0, 3)
+    [1]
     """
-    ((_, row),) = census_rows(t, t, D)
-    return row
+    _check_args(t, D)
+    if t == 0:
+        return [1]
+    J = t // (D + 1)
+    size = (t + 7) // 8
+    w = 8 * size
+    acc = 0
+    for j in range(J, -1, -1):
+        m = t - j * (D + 1)
+        b = (math.comb(m + j, j) * (m + 2 * j) // (m + j)) << (m - 1) if m else 1
+        acc = (acc << w) - acc + b  # acc * (y - 1) + b_j at y = 2^w
+    data = acc.to_bytes(size * (J + 1), "little")
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
 def count_exact_excursions(t: int, n: int, D: int) -> int:

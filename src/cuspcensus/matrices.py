@@ -149,8 +149,17 @@ def reciprocity_check(eps: EpsilonSeq) -> bool:
     of w passes through the order-two fixed point of P.  True for every
     valid sign tuple.
     """
-    nf = reciprocal_word(eps)
-    x = evaluate(GroupWord(nf.word.syllables[: 2 * eps.t]))
+    word = reciprocal_word(eps).word
+    return factors_through_involution(word, evaluate(word))
+
+
+def factors_through_involution(word: GroupWord, value: PSL2Element) -> bool:
+    """The check of :func:`reciprocity_check` on a reciprocal normal form
+    `word` whose evaluation `value` is already known: P = x a x^{-1}, with
+    x the first half of word, is an involution and value = P * a.  Only
+    the half word is evaluated here.
+    """
+    x = evaluate(GroupWord(word.syllables[: len(word.syllables) // 2]))
     a = PSL2Element.of(GEN_A)
     p = x * a * x.inverse()
-    return (p * p).is_identity() and evaluate(nf.word) == p * a
+    return (p * p).is_identity() and value == p * a

@@ -126,6 +126,49 @@ def test_bijection_suite_reports_an_unpaired_word_route(monkeypatch):
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
+@pytest.mark.parametrize("route", ["census_row", "census_rows"])
+def test_partition_suite_fails_on_a_wrong_cell_in_either_route(monkeypatch, route):
+    # one count moved between two cells of the row at t = 6, D = 2 keeps
+    # the row sum, so only the comparison with the oracle can see it
+    def skew(t, row):
+        return [row[0] - 1, row[1] + 1, *row[2:]] if (t, len(row)) == (6, 3) else row
+
+    if route == "census_row":
+        point = census.census_row
+        monkeypatch.setattr(census, "census_row", lambda t, D: skew(t, point(t, D)))
+    else:
+        kernel = census.census_rows
+        monkeypatch.setattr(
+            census, "census_rows",
+            lambda lo, hi, D: ((t, skew(t, row)) for t, row in kernel(lo, hi, D)),
+        )
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", "--suite", "partition", "--oracle-max-t", "8",
+                     "--format", "csv"])
+    assert code == 1
+    failed = [line for line in out.getvalue().splitlines() if ",FAIL," in line]
+    assert failed == ["partition,dp_vs_oracle_cells,6:2,FAIL,2,0,0,within"]
+
+
+def test_signs_of_mask_match_the_per_bit_reading():
+    for t in range(1, 13):
+        for mask in range(1 << t):
+            expected = tuple(-1 if mask >> i & 1 else 1 for i in range(t))
+            assert census._signs_of_mask(t, mask) == expected
+
+
+def test_matrices_suite_evaluates_each_word_once(monkeypatch):
+    # one evaluation per full word and one per half word, plus ab
+    from cuspcensus import matrices
+
+    calls = []
+    evaluate = matrices.evaluate
+    monkeypatch.setattr(matrices, "evaluate", lambda w: calls.append(w) or evaluate(w))
+    assert suite_matrices(6).passed
+    assert len(calls) == 2 * sum(1 << t for t in range(1, 7)) + 1
+
+
 def test_oracle_matches_dp():
     for t in range(1, 11):
         for D in range(1, 4):

@@ -362,6 +362,52 @@ def test_point_count_equals_the_filtered_row(fmt):
         assert out == expected.getvalue(), n
 
 
+@pytest.mark.parametrize("fmt", ["table", "json-lines", "csv"])
+@pytest.mark.parametrize("D", [1, 2, 5])
+def test_point_row_equals_its_lines_of_a_range(monkeypatch, fmt, D):
+    # one t is served by census_row, a range by the kernel's walk
+    import cuspcensus.cli as cli
+
+    def no_walk(*args):
+        raise AssertionError("a single t walked the kernel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "census_rows", no_walk)
+        code, point, _ = run(["count", "--t", "300", "--D", str(D), "--format", fmt])
+    assert code == 0
+    code, ranged, _ = run(
+        ["count", "--t", "299", "--t-max", "300", "--D", str(D), "--format", fmt]
+    )
+    assert code == 0
+    lines = ranged.splitlines()
+    if fmt == "json-lines":
+        expected = [line for line in lines if json.loads(line)["t"] == 300]
+    else:
+        sep = "," if fmt == "csv" else None
+        expected = lines[:1] + [line for line in lines[1:] if line.split(sep)[0] == "300"]
+    assert point.splitlines() == expected
+    assert len(expected) > 300 // (D + 1)
+
+
+def test_json_lines_equal_json_dumps():
+    records = [
+        {"t": 3, "D": None, "ok": True, "bad": False, "x": 0.1, "big": -10**30,
+         "count": "123", "word": "abaB"},
+        {'q"uote': 'a"b', "per%cent": "%s%d", "naïve": "☃é", "t": 3},
+        {'q"uote': "again", "per%cent": "%", "naïve": "", "t": -1},
+        {"t": 3, "D": None, "ok": True, "bad": False, "x": 1e300, "big": 7,
+         "count": "", "word": "\n\t\\"},
+        {},
+    ]
+    out = io.StringIO()
+    emitter = Emitter("json-lines", out)
+    for record in records:
+        emitter.emit(record)
+    assert out.getvalue().splitlines() == [
+        json.dumps(record, separators=(", ", ": ")) for record in records
+    ]
+
+
 def test_machine_formats_stream_and_table_waits_for_close():
     for fmt, expected in (("json-lines", '{"t": 1, "n": null}\n'), ("csv", "t,n\n1,\n")):
         out = io.StringIO()

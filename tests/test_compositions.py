@@ -293,9 +293,21 @@ def test_kernel_matches_enumeration(t, n, D):
     assert cell == expected
 
 
+def kernel_row(t, D):
+    ((_, row),) = census_rows(t, t, D)
+    return row
+
+
 @given(st.integers(1, 200), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_kernel_single_excursion_row_is_double_sum(t, D):
+    row = kernel_row(t, D)
+    assert (row[1] if len(row) > 1 else 0) == two_excursion_sum(t, D)
+
+
+@given(st.integers(1, 200), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_point_single_excursion_row_is_double_sum(t, D):
     row = census_row(t, D)
     assert (row[1] if len(row) > 1 else 0) == two_excursion_sum(t, D)
 
@@ -303,7 +315,36 @@ def test_kernel_single_excursion_row_is_double_sum(t, D):
 @given(st.integers(0, 300))
 @settings(max_examples=60, deadline=None)
 def test_kernel_depth_one_rows_are_binomial(t):
+    assert kernel_row(t, 1) == [math.comb(t, 2 * n) for n in range(t // 2 + 1)]
+
+
+@given(st.integers(0, 300))
+@settings(max_examples=60, deadline=None)
+def test_point_depth_one_rows_are_binomial(t):
     assert census_row(t, 1) == [math.comb(t, 2 * n) for n in range(t // 2 + 1)]
+
+
+@given(st.integers(0, 400), st.integers(1, 12))
+@example(0, 1)
+@example(1, 1)
+@example(2, 1)
+@example(1, 5)
+@example(5, 5)
+@example(6, 5)
+@example(12, 12)
+@example(13, 12)
+@settings(max_examples=80, deadline=None)
+def test_point_row_equals_kernel_row(t, D):
+    assert census_row(t, D) == kernel_row(t, D)
+
+
+def test_point_row_beyond_the_int_digit_limit():
+    # the middle counts of t = 14400, D = 200 have more than 4300 digits,
+    # so str() refuses them; the row is checked as integers
+    row = census_row(14400, 200)
+    assert max(row).bit_length() > 4300 * math.log2(10)
+    assert sum(row) == 2**14399
+    assert row == kernel_row(14400, 200)
 
 
 @given(

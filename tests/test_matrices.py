@@ -17,6 +17,7 @@ from cuspcensus.matrices import (
     PSL2Element,
     classify,
     evaluate,
+    factors_through_involution,
     reciprocity_check,
 )
 from cuspcensus.words import ALPHABET, EpsilonSeq, GroupWord, reciprocal_word, reduce_word
@@ -195,6 +196,13 @@ def test_reciprocity_check_exhaustive():
     for t in range(1, 11):
         for tup in itertools.product((1, -1), repeat=t):
             assert reciprocity_check(EpsilonSeq(tup))
+
+
+def test_factorization_check_reads_the_given_value():
+    for tup in [(1,), (1, -1), (-1, 1, 1)]:
+        word = reciprocal_word(EpsilonSeq(tup)).word
+        assert factors_through_involution(word, evaluate(word))
+        assert not factors_through_involution(word, evaluate(GroupWord.from_string("ab")))
 
 
 def test_reciprocal_element_conjugate_to_inverse():
