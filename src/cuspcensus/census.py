@@ -28,10 +28,12 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .compositions import (
     binomial,
+    census_column,
     census_row,
     census_rows,
     count_all,
@@ -280,10 +282,13 @@ def verify_theorem_two_excursions(
         raise ValueError("t_list must be nonempty and strictly ascending")
     alpha = solve_alpha(D, _ALPHA_TOL)
     limit = float(limit_constant("two_excursions_D", D).midpoint())
+    wanted = set(t_list)
     errors = []
     with localcontext(_RATIO_CONTEXT):
-        for t in t_list:
-            count = count_exact_excursions(t, 1, D)
+        # one walk of the column serves every t of t_list
+        for t, count in census_column(t_list[0], t_list[-1], 1, D):
+            if t not in wanted:
+                continue
             ratio = _ratio_to_limit(count, t, alpha.midpoint(), True)
             errors.append((t, abs(ratio - limit) / limit))
     checks = [
@@ -418,7 +423,8 @@ def suite_closed_form(t_max: int = 500, d_max: int = 12) -> VerificationReport:
     checks = []
     for D in range(2, d_max + 1):
         mismatches = sum(
-            1 for t in range(t_max + 1) if closed_form_count(t, D) != count_bounded(t, D)
+            1 for t, count in census_column(0, t_max, 0, D)
+            if closed_form_count(t, D) != count
         )
         checks.append(_within("closed_form_mismatches", (D, t_max), mismatches, 0, 0))
     return VerificationReport("closed-form", tuple(checks))
@@ -428,24 +434,40 @@ def suite_double_sum(
     t_max: int = 300, d_max: int = 8, bounds_t_max: int = 200, bounds_d_max: int = 6
 ) -> VerificationReport:
     """The positional double sum reproduces the one-excursion census, and
-    the closed-form estimates sandwich it."""
+    the closed-form estimates sandwich it.  The census is read one column
+    per D; a t where the column and the bounds do not line up counts as a
+    violation."""
     checks = []
     for D in range(2, d_max + 1):
         mismatches = sum(
-            1
-            for t in range(1, t_max + 1)
-            if two_excursion_sum(t, D) != count_exact_excursions(t, 1, D)
+            1 for t, count in census_column(1, t_max, 1, D)
+            if two_excursion_sum(t, D) != count
         )
         checks.append(_within("double_sum_mismatches", (D, t_max), mismatches, 0, 0))
     for D in range(2, bounds_d_max + 1):
+        pairs = zip_longest(
+            census_column(1, bounds_t_max, 1, D),
+            bounds_two_excursions_range(1, bounds_t_max, D),
+        )
         violations = sum(
-            1 for t, lo, hi in bounds_two_excursions_range(1, bounds_t_max, D)
-            if not lo <= count_exact_excursions(t, 1, D) <= hi
+            1 for cell, bound in pairs
+            if cell is None or bound is None or cell[0] != bound[0]
+            or not bound[1] <= cell[1] <= bound[2]
         )
         checks.append(
             _within("sandwich_violations", (D, bounds_t_max), violations, 0, 0)
         )
     return VerificationReport("double-sum", tuple(checks))
+
+
+def _binomial_row(t: int) -> list[int]:
+    """C(t, 0), ..., C(t, t) by C(t, k+1) = C(t, k) (t - k) / (k + 1), where
+    the division is exact: the reference of the depth-1 sweep, built from
+    t alone and without the counting kernel."""
+    row = [1]
+    for k in range(t):
+        row.append(row[-1] * (t - k) // (k + 1))
+    return row
 
 
 def suite_thm32(
@@ -454,14 +476,15 @@ def suite_thm32(
     tolerance: Fraction = Fraction(1, 1000),
 ) -> VerificationReport:
     """Depth-1 census equals C(t,2n) exactly, with the normalized ratio
-    converging to 1/(2n)!."""
+    converging to 1/(2n)!.  The exact sweep compares each kernel row with
+    the even entries of the binomial row of t; a row of the wrong length
+    counts its missing or extra cells as mismatches."""
     checks = []
-    mismatches = sum(
-        1
-        for t, row in census_rows(1, exact_t_max, 1)
-        for n, count in enumerate(row)
-        if count != binomial(t, 2 * n)
-    )
+    mismatches = 0
+    for t, row in census_rows(1, exact_t_max, 1):
+        expected = _binomial_row(t)[::2]
+        mismatches += sum(1 for a, b in zip(row, expected) if a != b)
+        mismatches += abs(len(row) - len(expected))
     checks.append(
         _within("depth1_exact_sweep_mismatches", (exact_t_max,), mismatches, 0, 0)
     )

@@ -9,7 +9,8 @@ across runs with the same arguments.  Json-lines and csv records are
 written as they are emitted, so `verify` prints each suite as it
 finishes, and the lines of the suites before one that fails with exit 2
 are already written; the table format is written at the end, once its
-column widths are known.
+column widths are known, from rows spilled to a temporary file beyond a
+fixed size.
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ import json
 import math
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from typing import Optional
 
 from .census import DEFAULT_ORACLE_CAP, SUITES, table1
-from .compositions import (
-    census_row, census_rows, count_exact_excursions, enumerate_compositions,
-)
+from .compositions import census_column, census_row, census_rows, enumerate_compositions
 from .spectral import (
     PrecisionExhausted, bounds_two_excursions_range, coefficient_d, limit_constant,
     solve_alpha,
@@ -38,6 +38,8 @@ _JSON = json.JSONEncoder(separators=(", ", ": "))
 # JSONEncoder's own string encoder under ensure_ascii
 _JSON_STR = json.encoder.encode_basestring_ascii
 _UNIT = "\x1f"
+# bytes of joined table rows held in memory before they spill to a file
+_TABLE_SPOOL_BYTES = 1 << 20
 
 
 def _int_str(n: int) -> str:
@@ -104,16 +106,19 @@ class Emitter:
     JSONEncoder writes: the encoded keys of each key tuple are kept, and
     each value is encoded by type, an exact str or int directly and any
     other value by the encoder.  The human table is held until close,
-    because its columns are aligned to the widest cell: it keeps each
-    record's cells as one string, joined by the ASCII unit separator that
-    no cell contains, and a running width per column.
+    because its columns are aligned to the widest cell: it keeps a running
+    width per column and writes each record's cells as one line, joined by
+    the ASCII unit separator, to a spool that stays in memory up to
+    _TABLE_SPOOL_BYTES and then moves to a temporary file, so memory does
+    not grow with the record count either.  No cell contains the unit
+    separator or a newline.
     """
 
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
         self.keys: Optional[list[str]] = None
-        self.rows: list[str] = []
+        self.rows: Optional[tempfile.SpooledTemporaryFile] = None
         self.widths: list[int] = []
         self.heads: dict[tuple, tuple[str, ...]] = {}
 
@@ -138,6 +143,8 @@ class Emitter:
             self.widths = [len(k) for k in self.keys]
             if self.fmt == "csv":
                 self.out.write(",".join(self.keys) + "\n")
+            else:
+                self.rows = tempfile.SpooledTemporaryFile(_TABLE_SPOOL_BYTES)
         if self.fmt == "csv":
             self.out.write(
                 ",".join("" if record[k] is None else str(record[k]) for k in self.keys)
@@ -146,15 +153,18 @@ class Emitter:
         else:
             row = ["-" if record[k] is None else str(record[k]) for k in self.keys]
             self.widths = list(map(max, self.widths, map(len, row)))
-            self.rows.append(_UNIT.join(row))
+            self.rows.write((_UNIT.join(row) + "\n").encode())
 
     def close(self) -> None:
-        if not self.rows:
+        if self.rows is None:
             return
         self.out.write("  ".join(map(str.ljust, self.keys, self.widths)) + "\n")
-        for row in self.rows:
-            cells = row.split(_UNIT)
-            self.out.write("  ".join(map(str.ljust, cells, self.widths)).rstrip() + "\n")
+        with self.rows:
+            self.rows.seek(0)
+            for line in self.rows:
+                cells = line[:-1].decode().split(_UNIT)
+                self.out.write("  ".join(map(str.ljust, cells, self.widths)).rstrip() + "\n")
+        self.rows = None
 
 
 def _t_range(args) -> tuple[int, int]:
@@ -182,21 +192,19 @@ def _check_d_and_n(args, t_hi: int) -> None:
 
 def _cmd_count(args, emitter: Emitter) -> int:
     """Census rows of a t-range; with --n, only cell n of each row that
-    has one.  A range is one pass of the kernel.  One t is read alone, not
-    from the kernel's walk up to t: its row by census_row, or with --n its
-    one cell by count_exact_excursions."""
+    has one, that is of each t >= n(D+1).  A range is one pass of the
+    kernel, and one t its row alone by census_row, not the kernel's walk
+    up to t.  With --n, one t or a range is one walk of census_column."""
     t_lo, t_hi = _t_range(args)
     _check_d_and_n(args, t_hi)
-    if t_lo < t_hi:
+    if args.n is not None:
+        column = census_column(max(t_lo, args.n * (args.D + 1)), t_hi, args.n, args.D)
+        cells = ((t, args.n, count) for t, count in column)
+    elif t_lo < t_hi:
         rows = census_rows(t_lo, t_hi, args.D)
-        if args.n is None:
-            cells = ((t, n, count) for t, row in rows for n, count in enumerate(row))
-        else:
-            cells = ((t, args.n, row[args.n]) for t, row in rows if args.n < len(row))
-    elif args.n is None:
-        cells = ((t_lo, n, count) for n, count in enumerate(census_row(t_lo, args.D)))
+        cells = ((t, n, count) for t, row in rows for n, count in enumerate(row))
     else:
-        cells = [(t_lo, args.n, count_exact_excursions(t_lo, args.n, args.D))]
+        cells = ((t_lo, n, count) for n, count in enumerate(census_row(t_lo, args.D)))
     for t, n, count in cells:
         emitter.emit({"t": t, "D": args.D, "n": n,
                       "count": _int_str(count), "source": "dp"})
@@ -244,9 +252,12 @@ def _cmd_table1(args, emitter: Emitter) -> int:
 
 
 def _cmd_bounds(args, emitter: Emitter) -> int:
+    """The certified sandwich of each t of the range, next to its count,
+    read from one walk of the census column n = 1."""
     t_lo, t_hi = _t_range(args)
-    for t, lo, hi in bounds_two_excursions_range(t_lo, t_hi, args.D):
-        count = count_exact_excursions(t, 1, args.D)
+    bounds = bounds_two_excursions_range(t_lo, t_hi, args.D)
+    column = census_column(t_lo, t_hi, 1, args.D)
+    for (t, lo, hi), (_, count) in zip(bounds, column, strict=True):
         emitter.emit(
             {
                 "t": t, "D": args.D,

@@ -16,7 +16,7 @@ marking the parts bigger than D with y gives
 
     sum_{t,n} count(t, n, D) x^t y^n = (1 - x) / (1 - 2x + (1 - y) x^{D+1}),
 
-read in four ways, none of which keeps a table:
+read in five ways, none of which keeps a table:
 
 * census rows of a t-range: R_t(y) = sum_n count(t, n, D) y^n obeys
   R_t = 2 R_{t-1} - (1 - y) R_{t-D-1} for t >= 2, with R_0 = R_1 = 1, so a
@@ -26,10 +26,12 @@ read in four ways, none of which keeps a table:
   sum_j (y - 1)^j (1 - x) x^{j(D+1)} / (1 - 2x)^{j+1}, so R_t has t // (D+1)
   + 1 coefficients, each one binomial times a power of two (see
   census_row), with no walk from t = 0;
-* y = 0: the same recurrence on numbers is the bounded count, O(1) per
-  step;
-* one coefficient of y^n: a recurrence in t alone, of order D+1 (see
-  count_exact_excursions), O(t) steps for any n.
+* one census column, the coefficient of y^n for a t-range: a recurrence
+  in t alone, of order D+1 (see census_column), one step per t, so the
+  whole column costs what its last cell costs alone;
+* one census cell: the same recurrence walked up to t without yielding
+  (count_exact_excursions), O(t) steps for any n;
+* y = 0: column n = 0 is the bounded count (count_bounded).
 
 The positional double sum (``product_at``, ``two_excursion_sum``) is the
 independent route the kernel is checked against; it builds the bounded
@@ -94,23 +96,13 @@ def count_bounded(t: int, D: int) -> int:
     """Number of compositions of t with all parts at most D.
 
     Satisfies |C_{t,D}| = sum_{i=1}^{D} |C_{t-i,D}| with |C_{0,D}| = 1.
-    Computed as the kernel at y = 0, the three-term recurrence
-    |C_{t,D}| = 2 |C_{t-1,D}| - |C_{t-D-1,D}|, in O(t) steps and O(D)
-    memory.
+    Computed as cell n = 0 of the kernel's column (see census_column):
+    O(t) steps and O(D) memory.
 
     >>> [count_bounded(t, 2) for t in range(7)]
     [1, 1, 2, 3, 5, 8, 13]
     """
-    _check_args(t, D)
-    if t <= D:
-        return count_all(t)
-    # ring[s % (D+1)] holds |C_{s,D}| for the last D+1 values of s
-    ring = [count_all(s) for s in range(D + 1)]
-    last = ring[D]
-    for s in range(D + 1, t + 1):
-        i = s % (D + 1)
-        last = ring[i] = 2 * last - ring[i]
-    return last
+    return count_exact_excursions(t, 0, D)
 
 
 def census_rows(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, list[int]]]:
@@ -166,20 +158,62 @@ def census_row(t: int, D: int) -> list[int]:
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 
 
+def census_column(t_lo: int, t_hi: int, n: int, D: int) -> Iterator[tuple[int, int]]:
+    """(t, count_exact_excursions(t, n, D)) for t = t_lo..t_hi, from one
+    walk of the kernel's coefficient of y^n.
+
+    That coefficient is [y^n] (1 - x) / (1 - 2x + (1 - y) x^{D+1}) =
+    (1 - x) x^{n(D+1)} / P^{n+1} with P = 1 - 2x + x^{D+1}.  The series
+    F = P^{-(n+1)} = sum_m a_m x^m obeys P F' = -(n+1) P' F, that is
+    (m+1) a_{m+1} = 2 (m+n+1) a_m - (m+n(D+1)+1) a_{m-D},
+    where the division is exact since every a_m is an integer.  The count
+    at t is a_M - a_{M-1} with M = t - n(D+1), and 0 for t < n(D+1).  The
+    walk passes every M on its way to the last one: it runs silently up
+    to t_lo, then yields one count per step, in O(D) memory.  The
+    arguments are checked at the call; an empty range yields nothing.
+
+    >>> list(census_column(4, 8, 1, 2))
+    [(4, 3), (5, 8), (6, 18), (7, 38), (8, 76)]
+    >>> list(census_column(0, 3, 2, 1))
+    [(0, 0), (1, 0), (2, 0), (3, 0)]
+    """
+    _check_args(t_lo, D)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return _column(t_lo, t_hi, n, D)
+
+
+def _column(t_lo: int, t_hi: int, n: int, D: int) -> Iterator[tuple[int, int]]:
+    base = n * (D + 1)  # the least t with n parts bigger than D
+    for t in range(t_lo, min(t_hi + 1, base)):
+        yield t, 0
+    lo = max(t_lo, base)
+    if lo > t_hi:
+        return
+    k = base + 1
+    # ring[m % (D+1)] holds a_m for the last D+1 values of m
+    ring = [1] + [0] * D
+    before, last = 0, 1
+    # two loops, so that a one-t query pays no yield or test per step
+    for m in range(lo - base):
+        i = (m + 1) % (D + 1)
+        before, last = last, (2 * (m + n + 1) * last - (m + k) * ring[i]) // (m + 1)
+        ring[i] = last
+    yield lo, last - before
+    for m in range(lo - base, t_hi - base):
+        i = (m + 1) % (D + 1)
+        before, last = last, (2 * (m + n + 1) * last - (m + k) * ring[i]) // (m + 1)
+        ring[i] = last
+        yield m + 1 + base, last - before
+
+
 def count_exact_excursions(t: int, n: int, D: int) -> int:
     """Number of compositions of t with exactly n parts bigger than D.
 
     Each such composition is the run sequence of a reciprocal geodesic of
     word length 4t making exactly 2n excursions of depth bigger than D.
-
-    This is coefficient n of the kernel in y alone:
-    [y^n] (1 - x) / (1 - 2x + (1 - y) x^{D+1}) = (1 - x) x^{n(D+1)} / P^{n+1}
-    with P = 1 - 2x + x^{D+1}.  The series F = P^{-(n+1)} = sum_m a_m x^m
-    obeys P F' = -(n+1) P' F, that is
-    (m+1) a_{m+1} = 2 (m+n+1) a_m - (m+n(D+1)+1) a_{m-D},
-    where the division is exact since every a_m is an integer.  The count
-    is a_M - a_{M-1} with M = t - n(D+1): O(t) steps and O(D) memory for
-    every n.
+    It is the one cell t of census_column: the walk runs silently up to t,
+    O(t) steps and O(D) memory for every n.
 
     >>> count_exact_excursions(7, 2, 1)
     35
@@ -188,20 +222,8 @@ def count_exact_excursions(t: int, n: int, D: int) -> int:
     >>> count_exact_excursions(4, 0, 2) == count_bounded(4, 2)
     True
     """
-    _check_args(t, D)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n * (D + 1) > t:
-        return 0
-    k = n * (D + 1) + 1
-    # ring[m % (D+1)] holds a_m for the last D+1 values of m
-    ring = [1] + [0] * D
-    before, last = 0, 1
-    for m in range(t - n * (D + 1)):
-        i = (m + 1) % (D + 1)
-        before, last = last, (2 * (m + n + 1) * last - (m + k) * ring[i]) // (m + 1)
-        ring[i] = last
-    return last - before
+    ((_, count),) = census_column(t, t, n, D)
+    return count
 
 
 def binomial(t: int, k: int) -> int:

@@ -463,12 +463,17 @@ def bounds_two_excursions_range(
 
     The t that share a bisection depth, 128 consecutive values, share one
     pass over the geometric sums.  The generator holds that pass, so its
-    memory lasts only as long as the request.
+    memory lasts only as long as the request.  The arguments are checked
+    at the call, before any bound is read.
     """
     if t_lo < 1:
         raise ValueError(f"t must be >= 1, got {t_lo}")
     if D < 2:
         raise ValueError(f"D must be >= 2, got {D}")
+    return _bounds_range(t_lo, t_hi, D)
+
+
+def _bounds_range(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, Fraction, Fraction]]:
     depth = None
     for t in range(t_lo, t_hi + 1):
         n_terms = t - D - 1  # largest u = t - r

@@ -1,5 +1,6 @@
 """Tests for census: DP vs oracle rows, verification reports, table rows."""
 
+import ast
 import io
 import itertools
 import os
@@ -149,6 +150,82 @@ def test_partition_suite_fails_on_a_wrong_cell_in_either_route(monkeypatch, rout
     assert code == 1
     failed = [line for line in out.getvalue().splitlines() if ",FAIL," in line]
     assert failed == ["partition,dp_vs_oracle_cells,6:2,FAIL,2,0,0,within"]
+
+
+def thm32_sweep(monkeypatch, fault):
+    """The exact-sweep check of suite_thm32 with each kernel row passed
+    through fault(t, row)."""
+    kernel = census.census_rows
+    monkeypatch.setattr(
+        census, "census_rows",
+        lambda lo, hi, D: ((t, fault(t, row)) for t, row in kernel(lo, hi, D)),
+    )
+    report = suite_thm32(exact_t_max=40, t_list=(100, 200), tolerance=Fraction(1))
+    (check,) = [c for c in report.checks if c.name == "depth1_exact_sweep_mismatches"]
+    return check
+
+
+def test_thm32_sweep_fails_on_one_wrong_cell(monkeypatch):
+    check = thm32_sweep(monkeypatch, lambda t, row: row[:2] + [row[2] + 1] + row[3:]
+                        if t == 17 else row)
+    assert (check.measured, check.passed) == (1, False)
+
+
+def test_thm32_sweep_fails_on_a_short_row(monkeypatch):
+    check = thm32_sweep(monkeypatch, lambda t, row: row[:-1] if t == 30 else row)
+    assert (check.measured, check.passed) == (1, False)
+
+
+@pytest.mark.parametrize("suite, kwargs, name", [
+    (suite_double_sum, dict(t_max=60, d_max=3, bounds_t_max=40, bounds_d_max=3),
+     "double_sum_mismatches"),
+    (suite_closed_form, dict(t_max=60, d_max=4), "closed_form_mismatches"),
+])
+def test_column_suites_fail_on_one_wrong_count(monkeypatch, suite, kwargs, name):
+    column = census.census_column
+
+    def off_by_one(t_lo, t_hi, n, D):
+        return ((t, count + (t == 33)) for t, count in column(t_lo, t_hi, n, D))
+
+    monkeypatch.setattr(census, "census_column", off_by_one)
+    report = suite(**kwargs)
+    failed = [c for c in report.checks if not c.passed]
+    assert failed and {c.name for c in failed} >= {name}
+    assert all(c.measured == 1 for c in failed if c.name == name)
+
+
+@pytest.mark.parametrize("fault, violations", [
+    (lambda cells: cells[:-1], 1),  # the column ends a t early
+    (lambda cells: [(t + 1, count) for t, count in cells], 20),  # off by one t
+])
+def test_double_sum_sandwich_counts_a_misaligned_column(monkeypatch, fault, violations):
+    # the sandwich is wider than one count, so it is the alignment of the
+    # column with the bounds that must not go unseen
+    column = census.census_column
+    monkeypatch.setattr(
+        census, "census_column",
+        lambda t_lo, t_hi, n, D: iter(fault(list(column(t_lo, t_hi, n, D)))),
+    )
+    report = suite_double_sum(t_max=20, d_max=2, bounds_t_max=20, bounds_d_max=2)
+    (check,) = [c for c in report.checks if c.name == "sandwich_violations"]
+    assert (check.measured, check.passed) == (violations, False)
+
+
+def test_binomial_reference_reaches_no_kernel_name():
+    # suite_thm32 checks the kernel against _binomial_row, so the row may
+    # not be built from compositions
+    tree = ast.parse((SRC / "cuspcensus" / "census.py").read_text(encoding="utf-8"))
+    kernel_names = {"compositions"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "compositions":
+            kernel_names.update(alias.asname or alias.name for alias in node.names)
+    (func,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_binomial_row"]
+    used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    assert "binomial" in kernel_names and "row" in used
+    assert not used & kernel_names, used & kernel_names
+    assert census._binomial_row(6) == [1, 6, 15, 20, 15, 6, 1]
+    assert census._binomial_row(0) == [1]
 
 
 def test_signs_of_mask_match_the_per_bit_reading():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -138,6 +139,11 @@ def test_bounds_sandwich_rendered_outward():
      "cde8e188e3e7886b12c3d6080b07437f94e9bb6728f1183216477acc8784eec4"),
     (["count", "--t", "2000", "--D", "3", "--format", "csv"],
      "5cd62ea1b36a2795da4f0c84054caf7eb5f2da918fd186936252e35e99a2b919"),
+    (["count", "--t", "1", "--t-max", "800", "--D", "2", "--n", "2", "--format", "csv"],
+     "6487ba2c2128d69f263293dd43e6712af75b6932c6a279c17b5e3889e34b8a32"),
+    (["count", "--t", "1", "--t-max", "600", "--D", "5", "--n", "1",
+      "--format", "json-lines"],
+     "9ae82a3ecf8a2773ce889c8b724bf57a4251ba1349cec9f29bb0aee0ce3b0095"),
     (["verify", "--suite", "bijection", "--format", "json-lines"],
      "906f509a7928bbf92cd7e627e283eced4ed3da94d0c0836987900b87188d8c8f"),
     (["verify", "--suite", "partition", "--oracle-max-t", "16",
@@ -433,6 +439,38 @@ def test_table_aligns_to_the_widest_cell_of_any_row():
         "1     ab      -\n"
         "1234  abaBab  2\n"
     )
+
+
+class HashingSink:
+    """A stdout that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+def test_table_spills_its_rows_and_keeps_its_bytes():
+    # 2^15 aligned rows, about 4 MB of output: the table used to hold every
+    # row until close (a traced peak of 5.6 MB); now at most the spool's
+    # memory part is held, and the bytes are those of the list it replaced
+    sink = HashingSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(["enumerate", "--t", "16"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.hash.hexdigest() == (
+        "ff1ac3904aed88ae673f6884d54afa76dac406fb991744a08ffe4d7e7ca21f7e"
+    )
+    assert peak < 2_500_000, peak
 
 
 @pytest.mark.parametrize("D", [2, 40])

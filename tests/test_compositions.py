@@ -13,6 +13,7 @@ from cuspcensus.census import excursion_census
 from cuspcensus.compositions import (
     RangeError,
     binomial,
+    census_column,
     census_row,
     census_rows,
     count_all,
@@ -380,6 +381,36 @@ def test_census_rows_check_arguments_at_the_call():
         census_rows(-1, 5, 2)
     with pytest.raises(ValueError):
         census_rows(1, 5, 0)
+
+
+def packed_cell(t, n, D):
+    row = census_row(t, D)
+    return row[n] if n < len(row) else 0
+
+
+@given(st.integers(0, 300), st.integers(0, 300), st.integers(0, 5), st.integers(1, 8))
+@example(0, 40, 2, 3)  # from t = 0, through the zeros below t = n(D+1)
+@example(0, 17, 5, 2)  # n beyond t_hi // (D+1): every cell is 0
+@example(30, 30, 1, 4)  # one t, as count_exact_excursions reads it
+@settings(max_examples=80, deadline=None)
+def test_census_column_equals_the_packed_rows(t_a, t_b, n, D):
+    t_lo, t_hi = sorted((t_a, t_b))
+    assert list(census_column(t_lo, t_hi, n, D)) == [
+        (t, packed_cell(t, n, D)) for t in range(t_lo, t_hi + 1)
+    ]
+
+
+def test_census_column_edge_ranges():
+    assert list(census_column(0, 4, 0, 2)) == [(0, 1), (1, 1), (2, 2), (3, 3), (4, 5)]
+    assert list(census_column(0, 11, 3, 3)) == [(t, 0) for t in range(12)]
+    assert list(census_column(9, 8, 1, 2)) == []
+    assert list(census_column(300, 0, 0, 1)) == []
+
+
+def test_census_column_checks_arguments_at_the_call():
+    for args in ((-1, 5, 1, 2), (1, 5, 1, 0), (1, 5, -1, 2)):
+        with pytest.raises(ValueError):
+            census_column(*args)
 
 
 def test_census_cursor_shared_between_threads():
