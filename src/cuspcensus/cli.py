@@ -5,12 +5,15 @@ Three output formats: a human-readable aligned table (default), json-lines,
 and csv.  Exact counts are serialized as decimal strings in the machine
 formats so they round-trip losslessly; floating-point fields carry an
 explicit digits-of-precision companion field.  Output is byte-identical
-across runs with the same arguments.  Json-lines and csv records are
-written as they are emitted, so `verify` prints each suite as it
-finishes, and the lines of the suites before one that fails with exit 2
-are already written; the table format is written at the end, once its
-column widths are known, from rows spilled to a temporary file beyond a
-fixed size.
+across runs with the same arguments.  Commands hand records to the
+Emitter in blocks: a census row is one block, its t, D and source shared
+by every record and its n and count one column each, and a block is
+written in slices of a fixed number of records, each encoded column-wise
+as one string.  Json-lines and csv records are written as they are
+emitted, so `verify` prints each suite as it finishes, and the lines of
+the suites before one that fails with exit 2 are already written; the
+table format is written at the end, once its column widths are known,
+from rows spilled to a temporary file beyond a fixed size.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import islice, repeat
 from typing import Optional
 
 from .census import DEFAULT_ORACLE_CAP, SUITES, table1
@@ -40,6 +44,8 @@ _JSON_STR = json.encoder.encode_basestring_ascii
 _UNIT = "\x1f"
 # bytes of joined table rows held in memory before they spill to a file
 _TABLE_SPOOL_BYTES = 1 << 20
+# records of a block encoded and written at a time
+_BLOCK_RECORDS = 256
 
 
 def _int_str(n: int) -> str:
@@ -86,6 +92,25 @@ def _general_format(value, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
+class _Decimals:
+    """A column of the exact decimal strings of some integers, made a
+    slice at a time as the emitter writes it, so the strings of a long
+    row are never held at once."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, part: slice) -> list[str]:
+        values = self.values[part]
+        try:
+            return list(map(str, values))
+        except ValueError:  # a value past str's digit limit
+            return list(map(_int_str, values))
+
+
 def _number_token(value, digits: int) -> str:
     """Serialize for output: ints and rationals exactly, floats at the
     declared precision."""
@@ -97,63 +122,153 @@ def _number_token(value, digits: int) -> str:
     return _general_format(value, digits)
 
 
-class Emitter:
-    """Writes records with a fixed column set in the requested format.
+def _csv_token(value) -> str:
+    return "" if value is None else str(value)
 
-    Json-lines and csv are streamed, one line per record, so output starts
-    at once and memory does not grow with the record count; csv writes
-    its header with the first record.  A json-lines line is the one
-    JSONEncoder writes: the encoded keys of each key tuple are kept, and
-    each value is encoded by type, an exact str or int directly and any
-    other value by the encoder.  The human table is held until close,
-    because its columns are aligned to the widest cell: it keeps a running
-    width per column and writes each record's cells as one line, joined by
-    the ASCII unit separator, to a spool that stays in memory up to
-    _TABLE_SPOOL_BYTES and then moves to a temporary file, so memory does
-    not grow with the record count either.  No cell contains the unit
-    separator or a newline.
+
+def _table_token(value) -> str:
+    return "-" if value is None else str(value)
+
+
+# per format: the text before, between and after the cells of a record;
+# the C-level function that gives the cell of a value of each of some
+# types, and the function for any other value; and the quote around a
+# decimal string, which needs no escape in any format.  A json-lines
+# line is the one JSONEncoder writes: int.__repr__ only for an exact int,
+# so a bool is written "true".
+_FORMATS = {
+    "json-lines": ("{", ", ", "}\n", {str: _JSON_STR, int: int.__repr__}, _JSON.encode, '"'),
+    "csv": ("", ",", "\n", {str: str, int: int.__repr__}, _csv_token, ""),
+    "table": ("", _UNIT, "\n", {str: str, int: int.__repr__}, _table_token, ""),
+}
+# the types of a block's columns; a value of any other type is shared
+_COLUMNS = frozenset((list, tuple, range, _Decimals))
+
+
+def _cells(values, by_type, token) -> list[str]:
+    """The cells of a column: one C-level map where its values share a
+    type that has one, else token of each value."""
+    kinds = set(map(type, values))
+    return list(map(by_type.get(kinds.pop(), token) if len(kinds) == 1 else token, values))
+
+
+def _join(fixed: list[str], cells: list[list[str]]) -> str:
+    """The text of the records whose cells of column i stand between
+    fixed[i] and fixed[i + 1]; with no column, the one record fixed[0]."""
+    if not cells:
+        return fixed[0]
+    parts = [cells[0]]
+    for text, column in zip(fixed[1:-1], cells[1:]):
+        parts += [repeat(text), column]
+    records = cells[0] if len(cells) == 1 else map("".join, zip(*parts))
+    return fixed[0] + (fixed[-1] + fixed[0]).join(records) + fixed[-1]
+
+
+class Emitter:
+    """Writes blocks of records with a fixed column set in the requested
+    format.
+
+    emit takes one block: a dict whose key order is the column order.  A
+    value that is a list, tuple or range is a column, one value per record,
+    and every column of a block has the same length (a block whose columns
+    differ in length is a ValueError); any other value is shared, written in
+    every record of the block.  A dict of scalars alone is a block of one
+    record.  A _Decimals column holds the exact decimal strings of a list of
+    integers, made a slice at a time; no format escapes them.  Emitting a
+    block writes the bytes that emitting its records one at a time would.
+    Each shared value is encoded once per block, into a record template, and
+    each column once, column-wise: by one C-level map where all its values
+    have one type with a C-level encoder (an exact str or int), else value
+    by value.  A block is written in slices of at most _BLOCK_RECORDS
+    records, each slice as one string, so the text held at once does not
+    grow with the block.
+
+    Json-lines and csv are streamed, so output starts at once and memory
+    does not grow with the record count; csv writes its header with the
+    first block.  A json-lines line is the one JSONEncoder writes, with the
+    encoded keys of each key tuple kept.  The human table is held until
+    close, because its columns are aligned to the widest cell: it keeps a
+    running width per column (the longest cell of each slice of a column)
+    and writes each record's cells as one line, joined by the ASCII unit
+    separator, to a spool that stays in memory up to _TABLE_SPOOL_BYTES and
+    then moves to a temporary file, so memory does not grow with the record
+    count either.  No cell contains the unit separator or a newline.
     """
 
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
-        self.keys: Optional[list[str]] = None
+        self.prefix, self.sep, self.suffix, self.by_type, self.token, quote = _FORMATS[fmt]
+        # the cell of a value in a record's template: a column's is the
+        # quote that ends the text before its cells and starts the text
+        # after them, since the cells of decimal strings are the strings
+        self.cell = {**self.by_type, **dict.fromkeys(_COLUMNS, lambda column: ""),
+                     _Decimals: lambda column: quote}
+        self.keys: Optional[tuple[str, ...]] = None
         self.rows: Optional[tempfile.SpooledTemporaryFile] = None
         self.widths: list[int] = []
-        self.heads: dict[tuple, tuple[str, ...]] = {}
+        # per key tuple, the text before each cell of a record, after the prefix
+        self.leads: dict[tuple, list[str]] = {}
 
-    def emit(self, record: dict) -> None:
-        if self.fmt == "json-lines":
-            keys = tuple(record)
-            heads = self.heads.get(keys)
-            if heads is None:
-                heads = self.heads[keys] = tuple(_JSON_STR(k) + ": " for k in keys)
-            # int.__repr__ only for an exact int: a bool is written "true"
-            self.out.write("{" + ", ".join([
-                head + (
-                    _JSON_STR(v) if type(v) is str
-                    else int.__repr__(v) if type(v) is int
-                    else _JSON.encode(v)
-                )
-                for head, v in zip(heads, record.values())
-            ]) + "}\n")
-            return
-        if self.keys is None:
-            self.keys = list(record)
-            self.widths = [len(k) for k in self.keys]
+    def emit(self, block: dict) -> None:
+        json_lines = self.fmt == "json-lines"
+        keys = tuple(block) if json_lines or self.keys is None else self.keys
+        values = list(block.values()) if json_lines else [block[k] for k in keys]
+        if _COLUMNS.isdisjoint(map(type, values)):
+            at, size = [], 1
+        else:
+            at = [i for i, v in enumerate(values) if type(v) in _COLUMNS]
+            sizes = {len(values[i]) for i in at}
+            if len(sizes) > 1:
+                raise ValueError(f"the columns of a block differ in length: {sorted(sizes)}")
+            size = sizes.pop()
+            if size == 0:
+                return
+        if self.keys is None and not json_lines:
+            self.keys = keys
+            self.widths = [len(k) for k in keys]
             if self.fmt == "csv":
-                self.out.write(",".join(self.keys) + "\n")
+                self.out.write(",".join(keys) + "\n")
             else:
                 self.rows = tempfile.SpooledTemporaryFile(_TABLE_SPOOL_BYTES)
-        if self.fmt == "csv":
-            self.out.write(
-                ",".join("" if record[k] is None else str(record[k]) for k in self.keys)
-                + "\n"
-            )
+        leads = self.leads.get(keys)
+        if leads is None:
+            leads = self.leads[keys] = [
+                (self.sep if i else "") + (_JSON_STR(k) + ": " if json_lines else "")
+                for i, k in enumerate(keys)
+            ]
+        cell, token = self.cell, self.token
+        cells = [cell.get(type(v), token)(v) for v in values]
+        if self.rows is not None:
+            self.widths = list(map(max, self.widths, map(len, cells)))
+        if not at:
+            # a block of scalars is one record: its line is the template
+            self._write(self.prefix + "".join(map(str.__add__, leads, cells)) + self.suffix)
+            return
+        texts = list(map(str.__add__, leads, cells))
+        # the record's text around its columns: fixed[0], column 0, fixed[1], ...
+        fixed, start, opening = [], 0, self.prefix
+        for i in at:
+            fixed.append(opening + "".join(texts[start:i + 1]))
+            start, opening = i + 1, cells[i]
+        fixed.append(opening + "".join(texts[start:]) + self.suffix)
+        for lo in range(0, size, _BLOCK_RECORDS):
+            # decimal strings need no escape: their cells are the strings
+            columns = [
+                values[i][lo:lo + _BLOCK_RECORDS] if type(values[i]) is _Decimals
+                else _cells(values[i][lo:lo + _BLOCK_RECORDS], self.by_type, token)
+                for i in at
+            ]
+            if self.rows is not None:
+                for i, column in zip(at, columns):
+                    self.widths[i] = max(self.widths[i], *map(len, column))
+            self._write(_join(fixed, columns))
+
+    def _write(self, text: str) -> None:
+        if self.rows is None:
+            self.out.write(text)
         else:
-            row = ["-" if record[k] is None else str(record[k]) for k in self.keys]
-            self.widths = list(map(max, self.widths, map(len, row)))
-            self.rows.write((_UNIT.join(row) + "\n").encode())
+            self.rows.write(text.encode())
 
     def close(self) -> None:
         if self.rows is None:
@@ -194,20 +309,24 @@ def _cmd_count(args, emitter: Emitter) -> int:
     """Census rows of a t-range; with --n, only cell n of each row that
     has one, that is of each t >= n(D+1).  A range is one pass of the
     kernel, and one t its row alone by census_row, not the kernel's walk
-    up to t.  With --n, one t or a range is one walk of census_column."""
+    up to t; each row is one block, t shared and n and count columns.  With
+    --n, one t or a range is one walk of census_column, emitted in blocks of
+    _BLOCK_RECORDS values of t."""
     t_lo, t_hi = _t_range(args)
     _check_d_and_n(args, t_hi)
+
+    def block(t, n, counts):
+        return {"t": t, "D": args.D, "n": n, "count": _Decimals(counts), "source": "dp"}
+
     if args.n is not None:
         column = census_column(max(t_lo, args.n * (args.D + 1)), t_hi, args.n, args.D)
-        cells = ((t, args.n, count) for t, count in column)
-    elif t_lo < t_hi:
-        rows = census_rows(t_lo, t_hi, args.D)
-        cells = ((t, n, count) for t, row in rows for n, count in enumerate(row))
-    else:
-        cells = ((t_lo, n, count) for n, count in enumerate(census_row(t_lo, args.D)))
-    for t, n, count in cells:
-        emitter.emit({"t": t, "D": args.D, "n": n,
-                      "count": _int_str(count), "source": "dp"})
+        for chunk in iter(lambda: list(islice(column, _BLOCK_RECORDS)), []):
+            ts, counts = zip(*chunk)
+            emitter.emit(block(ts, args.n, counts))
+        return 0
+    rows = census_rows(t_lo, t_hi, args.D) if t_lo < t_hi else [(t_lo, census_row(t_lo, args.D))]
+    for t, row in rows:
+        emitter.emit(block(t, range(len(row)), row))
     return 0
 
 
@@ -238,7 +357,10 @@ def _cmd_constants(args, emitter: Emitter) -> int:
 
 
 def _cmd_table1(args, emitter: Emitter) -> int:
-    for row in table1(args.t, args.D, args.n if args.n is not None else 3):
+    n_max = args.n if args.n is not None else 3
+    if n_max < 1:
+        raise ValueError(f"--n must be >= 1, got {n_max}")
+    for row in table1(args.t, args.D, n_max):
         known = row.approx is not None
         emitter.emit(
             {

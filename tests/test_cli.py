@@ -153,6 +153,12 @@ def test_bounds_sandwich_rendered_outward():
     (["count", "--t", "1", "--t-max", "600", "--D", "5", "--n", "1",
       "--format", "json-lines"],
      "9ae82a3ecf8a2773ce889c8b724bf57a4251ba1349cec9f29bb0aee0ce3b0095"),
+    (["count", "--t", "1", "--t-max", "300", "--D", "3", "--format", "table"],
+     "dcd973ea1c262b7a356cba1f4472fc7fd4d13f98b3f310ba110aa85a32287ac4"),
+    (["count", "--t", "1", "--t-max", "300", "--D", "3", "--format", "csv"],
+     "63045a344fb34f10e513147cd8b658da91d403a189357bfc638cc2366334a564"),
+    (["count", "--t", "1", "--t-max", "2000", "--D", "2", "--n", "1", "--format", "table"],
+     "b8c0900efe2975b255ce69615bb79fce9772d520e018de5a698f75c03d0bcd9a"),
 ])
 def test_bounds_output_pinned(argv, digest):
     # the printed bounds, growth rates and constants are certified
@@ -228,10 +234,16 @@ def test_usage_errors_exit_two():
         ["enumerate", "--t", "3", "--n", "5", "--D", "1"],
         ["enumerate", "--t", "0"],
         ["enumerate", "--t", "3", "--n", "0", "--D", "-1"],
+        ["table1", "--t", "5", "--D", "2", "--n", "0"],
+        ["table1", "--t", "5", "--D", "2", "--n", "-1"],
     ):
         code, _, err = run(argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+    # the message names the flag, not the library's parameter
+    assert run(["table1", "--t", "5", "--D", "2", "--n", "0"])[2] == (
+        "error: --n must be >= 1, got 0\n"
+    )
 
 
 def test_precision_exhausted_exits_two(monkeypatch):
@@ -412,6 +424,120 @@ def test_json_lines_equal_json_dumps():
     assert out.getvalue().splitlines() == [
         json.dumps(record, separators=(", ", ": ")) for record in records
     ]
+
+
+def hostile_blocks():
+    """Blocks whose shared fields and columns hold the values of
+    test_json_lines_equal_json_dumps, ending in a block of scalars."""
+    from cuspcensus.cli import _Decimals
+
+    many = range(600)  # more records than one slice
+    return [
+        {'q"uote': 'a"b', "per%cent": ["%s%d", "%", "%%", "x%"], "naïve": "☃é",
+         "D": None, "x": [0.1, 1e300, -0.0, 2.5], "ok": [True, 1, False, 0],
+         "big": -10**30},
+        {'q"uote': ["again", '"', "", "☃"], "per%cent": "%", "naïve": [None, "é", "%d", "\\"],
+         "D": [None, 1, "1", 2.0], "x": 0.1, "ok": True, "big": [-10**30, 7, 10**40, 0]},
+        # the keys in another order, and a one-record block
+        {"big": _Decimals([-10**30]), 'q"uote': ("one",), "naïve": "", "per%cent": ["%"],
+         "D": range(5, 6), "x": [None], "ok": False},
+        {'q"uote': "many", "per%cent": many, "naïve": [str(i) * (i % 7) for i in many],
+         "D": 3, "x": [i / 7 for i in many], "ok": [i % 3 == 0 for i in many],
+         "big": _Decimals([(-1) ** i * 10 ** (i % 40) for i in many])},
+        {'q"uote': "%s", "per%cent": "%%", "naïve": "ü", "D": None, "x": 1e-300,
+         "ok": True, "big": 10**30},
+    ]
+
+
+def records_of(block):
+    """The records of a block, one dict each; a decimal column gives its
+    strings."""
+    from cuspcensus.cli import _COLUMNS
+
+    sizes = {len(v) for v in block.values() if type(v) in _COLUMNS}
+    size = sizes.pop() if sizes else 1
+    return [
+        {k: v[i:i + 1][0] if type(v) in _COLUMNS else v for k, v in block.items()}
+        for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json-lines", "csv"])
+def test_a_block_writes_the_bytes_of_its_records(fmt):
+    blocks, one_by_one = io.StringIO(), io.StringIO()
+    emitter = Emitter(fmt, blocks)
+    for block in hostile_blocks():
+        emitter.emit(block)
+    emitter.close()
+    emitter = Emitter(fmt, one_by_one)
+    for block in hostile_blocks():
+        for record in records_of(block):
+            emitter.emit(record)
+    emitter.close()
+    assert blocks.getvalue() == one_by_one.getvalue()
+    lines = blocks.getvalue().splitlines()
+    assert len(lines) == 4 + 4 + 1 + 600 + 1 + (fmt != "json-lines")
+    if fmt == "json-lines":
+        records = [r for block in hostile_blocks() for r in records_of(block)]
+        assert lines == [json.dumps(r, separators=(", ", ": ")) for r in records]
+        # an int column with a bool in it keeps the bool
+        assert [json.loads(line)["ok"] for line in lines[:4]] == [True, 1, False, 0]
+        assert '"ok": true' in lines[0] and '"ok": 1' in lines[1]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json-lines", "csv"])
+def test_a_block_with_columns_of_two_lengths_is_refused(fmt):
+    out = io.StringIO()
+    emitter = Emitter(fmt, out)
+    with pytest.raises(ValueError, match="differ in length"):
+        emitter.emit({"t": [1, 2], "D": 1, "n": range(3)})
+    emitter.close()
+    assert out.getvalue() == ""
+
+
+class LargestWrite:
+    """A stream, or a table spool that reads back nothing, that keeps the
+    count of lines and the most lines of any one write."""
+
+    def __init__(self):
+        self.lines = self.most = 0
+
+    def write(self, text):
+        lines = text.count("\n") if isinstance(text, str) else text.count(b"\n")
+        self.lines += lines
+        self.most = max(self.most, lines)
+
+    def flush(self):
+        pass
+
+    def seek(self, offset):
+        pass
+
+    def __iter__(self):
+        return iter(())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("fmt", ["table", "json-lines", "csv"])
+def test_a_long_block_is_written_a_slice_at_a_time(monkeypatch, fmt):
+    import cuspcensus.cli as cli
+
+    # the table's rows go to its spool, not to the sink, until close
+    spool = LargestWrite()
+    monkeypatch.setattr(cli.tempfile, "SpooledTemporaryFile", lambda size: spool)
+    sink = LargestWrite()
+    emitter = Emitter(fmt, sink)
+    emitter.emit({"t": 7, "D": 1, "n": range(100_000),
+                  "count": cli._Decimals(range(100_000)), "source": "dp"})
+    emitter.close()
+    written = spool if fmt == "table" else sink
+    assert written.lines == 100_000 + (fmt == "csv")
+    assert written.most == cli._BLOCK_RECORDS < 1000
 
 
 def test_machine_formats_stream_and_table_waits_for_close():
