@@ -7,13 +7,16 @@ formats so they round-trip losslessly; floating-point fields carry an
 explicit digits-of-precision companion field.  Output is byte-identical
 across runs with the same arguments.  Commands hand records to the
 Emitter in blocks: a census row is one block, its t, D and source shared
-by every record and its n and count one column each, and a block is
-written in slices of a fixed number of records, each encoded column-wise
-as one string.  Json-lines and csv records are written as they are
-emitted, so `verify` prints each suite as it finishes, and the lines of
-the suites before one that fails with exit 2 are already written; the
-table format is written at the end, once its column widths are known,
-from rows spilled to a temporary file beyond a fixed size.
+by every record and its n and count one column each.  One pass over a
+block's keys encodes its shared values into a record template, and the
+block is written in slices of a fixed number of records, each encoded
+column-wise as one string.  Json-lines and csv records are written as
+they are emitted, so `verify` prints each suite as it finishes, and the
+lines of the suites before one that fails with exit 2 are already
+written; the table's records go to a spool that moves to a temporary
+file beyond a fixed size, and at the end it is read back a slice at a
+time, once for the column widths and once to pad the cells a column at
+a time.
 """
 
 from __future__ import annotations
@@ -171,126 +174,116 @@ class Emitter:
     emit takes one block: a dict whose key order is the column order.  A
     value that is a list, tuple or range is a column, one value per record,
     and every column of a block has the same length (a block whose columns
-    differ in length is a ValueError); any other value is shared, written in
-    every record of the block.  A dict of scalars alone is a block of one
-    record.  A _Decimals column holds the exact decimal strings of a list of
-    integers, made a slice at a time; no format escapes them.  Emitting a
-    block writes the bytes that emitting its records one at a time would.
-    Each shared value is encoded once per block, into a record template, and
-    each column once, column-wise: by one C-level map where all its values
-    have one type with a C-level encoder (an exact str or int), else value
-    by value.  A block is written in slices of at most _BLOCK_RECORDS
-    records, each slice as one string, so the text held at once does not
-    grow with the block.
+    differ in length is a ValueError, raised before anything is written);
+    any other value is shared, written in every record of the block.  A
+    dict of scalars alone is a block of one record.  A _Decimals column
+    holds the exact decimal strings of a list of integers, made a slice at
+    a time; no format escapes them.  Emitting a block writes the bytes that
+    emitting its records one at a time would.
 
-    Json-lines and csv are streamed, so output starts at once and memory
-    does not grow with the record count; csv writes its header with the
-    first block.  A json-lines line is the one JSONEncoder writes, with the
-    encoded keys of each key tuple kept.  The human table is held until
-    close, because its columns are aligned to the widest cell: it keeps a
-    running width per column (the longest cell of each slice of a column)
-    and writes each record's cells as one line, joined by the ASCII unit
-    separator, to a spool that stays in memory up to _TABLE_SPOOL_BYTES and
-    then moves to a temporary file, so memory does not grow with the record
-    count either.  No cell contains the unit separator or a newline.
+    One pass over the block's keys builds the record template: each shared
+    value is encoded once into the text, and at each column the text so far
+    is closed, with the format's decimal quote when the column is a
+    _Decimals.  Each column is encoded once, column-wise: by one C-level map
+    where all its values have one type with a C-level encoder (an exact str
+    or int), else value by value.  A block is written in slices of at most
+    _BLOCK_RECORDS records, each slice as one string, so the text held at
+    once does not grow with the block.  A json-lines line is the one
+    JSONEncoder writes.
+
+    Json-lines and csv are written to the output as they are emitted, so
+    output starts at once and memory does not grow with the record count;
+    csv writes its header with the first block.  The human table is written
+    at close, because its columns are aligned to the widest cell: emit
+    writes its records, cells joined by the ASCII unit separator, to a text
+    spool that stays in memory up to _TABLE_SPOOL_BYTES and then moves to a
+    temporary file, so memory does not grow with the record count either.
+    close reads the spool back twice, _BLOCK_RECORDS lines at a time: first
+    for each column's widest cell, seeded with the lengths of the keys, then
+    to pad the cells a column at a time and write each slice as one string,
+    every row stripped on the right.  No cell contains the unit separator or
+    a newline.
     """
 
     def __init__(self, fmt: str, out):
         self.fmt = fmt
         self.out = out
-        self.prefix, self.sep, self.suffix, self.by_type, self.token, quote = _FORMATS[fmt]
-        # the cell of a value in a record's template: a column's is the
-        # quote that ends the text before its cells and starts the text
-        # after them, since the cells of decimal strings are the strings
-        self.cell = {**self.by_type, **dict.fromkeys(_COLUMNS, lambda column: ""),
-                     _Decimals: lambda column: quote}
+        self.prefix, self.sep, self.suffix, self.by_type, self.token, self.quote = _FORMATS[fmt]
         self.keys: Optional[tuple[str, ...]] = None
         self.rows: Optional[tempfile.SpooledTemporaryFile] = None
-        self.widths: list[int] = []
-        # per key tuple, the text before each cell of a record, after the prefix
-        self.leads: dict[tuple, list[str]] = {}
 
     def emit(self, block: dict) -> None:
         json_lines = self.fmt == "json-lines"
         keys = tuple(block) if json_lines or self.keys is None else self.keys
-        values = list(block.values()) if json_lines else [block[k] for k in keys]
-        if _COLUMNS.isdisjoint(map(type, values)):
-            at, size = [], 1
-        else:
-            at = [i for i, v in enumerate(values) if type(v) in _COLUMNS]
-            sizes = {len(values[i]) for i in at}
-            if len(sizes) > 1:
-                raise ValueError(f"the columns of a block differ in length: {sorted(sizes)}")
-            size = sizes.pop()
-            if size == 0:
-                return
+        # the record's text around its columns: fixed[0], column 0, fixed[1], ...
+        fixed, columns, text = [], [], self.prefix
+        for i, key in enumerate(keys):
+            value = block[key]
+            text += (self.sep if i else "") + (_JSON_STR(key) + ": " if json_lines else "")
+            if type(value) not in _COLUMNS:
+                text += self.by_type.get(type(value), self.token)(value)
+                continue
+            # decimal strings need no escape: their cells are the strings
+            quote = self.quote if type(value) is _Decimals else ""
+            fixed.append(text + quote)
+            columns.append(value)
+            text = quote
+        fixed.append(text + self.suffix)
+        sizes = set(map(len, columns)) or {1}
+        if len(sizes) > 1:
+            raise ValueError(f"the columns of a block differ in length: {sorted(sizes)}")
+        size = sizes.pop()
+        if size == 0:
+            return
         if self.keys is None and not json_lines:
             self.keys = keys
-            self.widths = [len(k) for k in keys]
             if self.fmt == "csv":
                 self.out.write(",".join(keys) + "\n")
             else:
-                self.rows = tempfile.SpooledTemporaryFile(_TABLE_SPOOL_BYTES)
-        leads = self.leads.get(keys)
-        if leads is None:
-            leads = self.leads[keys] = [
-                (self.sep if i else "") + (_JSON_STR(k) + ": " if json_lines else "")
-                for i, k in enumerate(keys)
-            ]
-        cell, token = self.cell, self.token
-        cells = [cell.get(type(v), token)(v) for v in values]
-        if self.rows is not None:
-            self.widths = list(map(max, self.widths, map(len, cells)))
-        if not at:
-            # a block of scalars is one record: its line is the template
-            self._write(self.prefix + "".join(map(str.__add__, leads, cells)) + self.suffix)
-            return
-        texts = list(map(str.__add__, leads, cells))
-        # the record's text around its columns: fixed[0], column 0, fixed[1], ...
-        fixed, start, opening = [], 0, self.prefix
-        for i in at:
-            fixed.append(opening + "".join(texts[start:i + 1]))
-            start, opening = i + 1, cells[i]
-        fixed.append(opening + "".join(texts[start:]) + self.suffix)
+                self.rows = tempfile.SpooledTemporaryFile(
+                    _TABLE_SPOOL_BYTES, "w+", encoding="utf-8", newline="\n")
+        write = self.out.write if self.rows is None else self.rows.write
         for lo in range(0, size, _BLOCK_RECORDS):
-            # decimal strings need no escape: their cells are the strings
-            columns = [
-                values[i][lo:lo + _BLOCK_RECORDS] if type(values[i]) is _Decimals
-                else _cells(values[i][lo:lo + _BLOCK_RECORDS], self.by_type, token)
-                for i in at
-            ]
-            if self.rows is not None:
-                for i, column in zip(at, columns):
-                    self.widths[i] = max(self.widths[i], *map(len, column))
-            self._write(_join(fixed, columns))
+            part = slice(lo, lo + _BLOCK_RECORDS)
+            write(_join(fixed, [column[part] if type(column) is _Decimals
+                                else _cells(column[part], self.by_type, self.token)
+                                for column in columns]))
 
-    def _write(self, text: str) -> None:
-        if self.rows is None:
-            self.out.write(text)
-        else:
-            self.rows.write(text.encode())
+    def _slices(self):
+        """The spooled records, _BLOCK_RECORDS at a time, as columns of cells."""
+        self.rows.seek(0)
+        for lines in iter(lambda: list(islice(self.rows, _BLOCK_RECORDS)), []):
+            # each line ends in a newline: read as a separator, the slice is
+            # its cells in row order
+            cells = "".join(lines).replace("\n", _UNIT).split(_UNIT)
+            yield [cells[i:-1:len(self.keys)] for i in range(len(self.keys))]
 
     def close(self) -> None:
         if self.rows is None:
             return
-        self.out.write("  ".join(map(str.ljust, self.keys, self.widths)) + "\n")
         with self.rows:
-            self.rows.seek(0)
-            for line in self.rows:
-                cells = line[:-1].decode().split(_UNIT)
-                self.out.write("  ".join(map(str.ljust, cells, self.widths)).rstrip() + "\n")
+            widths = list(map(len, self.keys))
+            for columns in self._slices():
+                widths = [max(width, *map(len, column)) for width, column in zip(widths, columns)]
+            self.out.write("  ".join(map(str.ljust, self.keys, widths)) + "\n")
+            for columns in self._slices():
+                padded = [map(str.ljust, column, repeat(width))
+                          for column, width in zip(columns, widths)]
+                self.out.write("\n".join(map(str.rstrip, map("  ".join, zip(*padded)))) + "\n")
         self.rows = None
 
 
 def _t_range(args) -> tuple[int, int]:
-    """First and last t of --t and --t-max; an empty range or a t below 1
-    is an input error."""
+    """First and last t of --t and --t-max (--t 1 when only --t-max is
+    given); an empty range or a t below 1 is an input error."""
     if args.t is None and args.t_max is None:
         raise ValueError(f"{args.command} needs --t or --t-max")
+    if args.t is None and args.t_max < 1:
+        raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     t_lo = args.t if args.t is not None else 1
     t_hi = args.t_max if args.t_max is not None else args.t
     if t_lo < 1:
-        raise ValueError(f"t must be >= 1, got {t_lo}")
+        raise ValueError(f"--t must be >= 1, got {t_lo}")
     if t_lo > t_hi:
         raise ValueError(f"empty t-range: --t {t_lo} is above --t-max {t_hi}")
     return t_lo, t_hi
@@ -299,7 +292,7 @@ def _t_range(args) -> tuple[int, int]:
 def _check_d_and_n(args, t_hi: int) -> None:
     """--D must be at least 1, and --n, when given, in 0..t_hi // (D+1)."""
     if args.D < 1:
-        raise ValueError(f"D must be >= 1, got {args.D}")
+        raise ValueError(f"--D must be >= 1, got {args.D}")
     n_max = t_hi // (args.D + 1)
     if args.n is not None and not 0 <= args.n <= n_max:
         raise ValueError(f"--n must be in 0..{n_max} for t <= {t_hi}, got {args.n}")
@@ -337,6 +330,8 @@ def _cmd_alpha(args, emitter: Emitter) -> int:
 
 
 def _cmd_constants(args, emitter: Emitter) -> int:
+    if args.n is not None and args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     tol = Fraction(1, 10 ** (args.digits + 2))
     for kind, enc in (
         ("coefficient_d", coefficient_d(args.D, tol)),
@@ -436,7 +431,9 @@ def _cmd_verify(args, emitter: Emitter) -> int:
 
 def _cmd_enumerate(args, emitter: Emitter) -> int:
     if args.t < 1:
-        raise ValueError(f"t must be >= 1, got {args.t}")
+        raise ValueError(f"--t must be >= 1, got {args.t}")
+    if (args.n is None) != (args.D is None):
+        raise ValueError("--n and --D go together: give both or neither")
     if args.D is not None:
         _check_d_and_n(args, args.t)
     for index, comp in enumerate(enumerate_compositions(args.t, args.n, args.D)):

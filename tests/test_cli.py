@@ -236,14 +236,27 @@ def test_usage_errors_exit_two():
         ["enumerate", "--t", "3", "--n", "0", "--D", "-1"],
         ["table1", "--t", "5", "--D", "2", "--n", "0"],
         ["table1", "--t", "5", "--D", "2", "--n", "-1"],
+        ["count", "--t-max", "0", "--D", "1"],
+        ["bounds", "--t-max", "0", "--D", "2"],
+        ["constants", "--D", "2", "--n", "-1"],
+        ["enumerate", "--t", "5", "--n", "1"],
+        ["enumerate", "--t", "5", "--D", "2"],
     ):
         code, _, err = run(argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
-    # the message names the flag, not the library's parameter
-    assert run(["table1", "--t", "5", "--D", "2", "--n", "0"])[2] == (
-        "error: --n must be >= 1, got 0\n"
-    )
+    # the message names the flags the user gave, not the library's parameters
+    for argv, message in (
+        (["table1", "--t", "5", "--D", "2", "--n", "0"], "--n must be >= 1, got 0"),
+        (["count", "--t-max", "0", "--D", "1"], "--t-max must be >= 1, got 0"),
+        (["bounds", "--t-max", "0", "--D", "2"], "--t-max must be >= 1, got 0"),
+        (["constants", "--D", "2", "--n", "-1"], "--n must be >= 0, got -1"),
+        (["count", "--t", "0", "--D", "1"], "--t must be >= 1, got 0"),
+        (["count", "--t", "3", "--D", "-1", "--n", "0"], "--D must be >= 1, got -1"),
+        (["enumerate", "--t", "5", "--n", "1"], "--n and --D go together: give both or neither"),
+        (["enumerate", "--t", "5", "--D", "2"], "--n and --D go together: give both or neither"),
+    ):
+        assert run(argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_precision_exhausted_exits_two(monkeypatch):
@@ -529,7 +542,8 @@ def test_a_long_block_is_written_a_slice_at_a_time(monkeypatch, fmt):
 
     # the table's rows go to its spool, not to the sink, until close
     spool = LargestWrite()
-    monkeypatch.setattr(cli.tempfile, "SpooledTemporaryFile", lambda size: spool)
+    monkeypatch.setattr(cli.tempfile, "SpooledTemporaryFile",
+                        lambda size, mode, encoding, newline: spool)
     sink = LargestWrite()
     emitter = Emitter(fmt, sink)
     emitter.emit({"t": 7, "D": 1, "n": range(100_000),
@@ -538,6 +552,59 @@ def test_a_long_block_is_written_a_slice_at_a_time(monkeypatch, fmt):
     written = spool if fmt == "table" else sink
     assert written.lines == 100_000 + (fmt == "csv")
     assert written.most == cli._BLOCK_RECORDS < 1000
+
+
+def test_table_close_writes_a_slice_at_a_time():
+    import cuspcensus.cli as cli
+
+    # with the real spool, moved to a file by now: close reads it back and
+    # pads it _BLOCK_RECORDS lines at a time, and writes each slice at once
+    sink = LargestWrite()
+    emitter = Emitter("table", sink)
+    emitter.emit({"t": 7, "D": 1, "n": range(100_000),
+                  "count": cli._Decimals(range(100_000)), "source": "dp"})
+    assert sink.lines == 0
+    emitter.close()
+    assert sink.lines == 1 + 100_000
+    assert sink.most == cli._BLOCK_RECORDS
+
+
+def test_table_equals_a_row_by_row_reference():
+    import cuspcensus.cli as cli
+
+    # hostile cells: an empty last cell, trailing spaces, a carriage
+    # return, non-ASCII text, a "wide" cell wider than its header only in
+    # the last record, and "carriage" cells all narrower than their header;
+    # enough records that the spool moves to a file
+    size = 50_000
+    block = {
+        "t": range(size),
+        "word": ["☃é" * (i % 4) + " " * (i % 3) for i in range(size)],
+        "carriage": ["a\rb" if i % 5 else "\r" for i in range(size)],
+        "wide": "ab",
+        "last": ["" if i % 2 else "end  " for i in range(size)],
+    }
+    last = {"t": size, "word": "ü", "carriage": "", "wide": "w" * 9, "last": ""}
+    out = io.StringIO()
+    emitter = Emitter("table", out)
+    emitter.emit(block)
+    emitter.emit(last)
+    emitter.close()
+
+    keys = list(block)
+    rows = [[str(i), block["word"][i], block["carriage"][i], "ab", block["last"][i]]
+            for i in range(size)] + [[str(v) for v in last.values()]]
+    widths = [max(map(len, column)) for column in zip(keys, *rows)]
+    assert widths[keys.index("wide")] == 9 > len("wide")
+    assert sum(len(cli._UNIT.join(row).encode()) + 1 for row in rows) > cli._TABLE_SPOOL_BYTES
+    expected = ["  ".join(map(str.ljust, keys, widths))] + [
+        "  ".join(map(str.ljust, row, widths)).rstrip() for row in rows
+    ]
+    # compared line by line, so that a failure names the lines that differ
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(expected)
+    assert [i for i, (got, want) in enumerate(zip(lines, expected)) if got != want] == []
 
 
 def test_machine_formats_stream_and_table_waits_for_close():
