@@ -11,9 +11,12 @@ The package splits into:
 - ``matrices``: exact 2x2 integer matrices over the projective group,
   trace classification, and the conjugation symmetry check.
 - ``compositions``: the counting engine (all compositions, bounded
-  parts, exact excursion counts), one generating function read by
-  recurrences that hold at most the last D+1 census rows, so memory is
-  O(D * row) and bounded by the request; no state outlives a call.
+  parts, exact excursion counts), one generating function read several
+  ways: a t-range of census rows by a recurrence holding the last D+1
+  rows, O(D * row) memory; one row alone from its (y-1)-basis
+  coefficients, packed into one integer; a census column or cell by a
+  recurrence in t holding O(D) integers.  Memory is bounded by the
+  request; no state outlives a call.
 - ``spectral``: growth rates as certified root enclosures, closed-form
   counts, limit constants, and rigorous two-sided bounds.
 - ``census``: the verification harness tying enumeration oracles to the

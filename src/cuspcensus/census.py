@@ -219,13 +219,10 @@ def _to_decimal(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / x.denominator
 
 
-def _ratio_to_limit(count: int, t: int, power_base: Fraction, t_factor: bool) -> float:
-    """count/(t * base^t) or count/base^t in log space, at the working
-    precision of the current decimal context; exact inputs, one
-    exponential at the end."""
-    ln = Decimal(count).ln() - t * _to_decimal(power_base).ln()
-    if t_factor:
-        ln -= Decimal(t).ln()
+def _ratio_to_limit(count: int, t: int, power_base: Fraction) -> float:
+    """count/(t * base^t) in log space, at the working precision of the
+    current decimal context; exact inputs, one exponential at the end."""
+    ln = Decimal(count).ln() - t * _to_decimal(power_base).ln() - Decimal(t).ln()
     return float(ln.exp())
 
 
@@ -289,7 +286,7 @@ def verify_theorem_two_excursions(
         for t, count in census_column(t_list[0], t_list[-1], 1, D):
             if t not in wanted:
                 continue
-            ratio = _ratio_to_limit(count, t, alpha.midpoint(), True)
+            ratio = _ratio_to_limit(count, t, alpha.midpoint())
             errors.append((t, abs(ratio - limit) / limit))
     checks = [
         _below("error_decreases", (D, t1, t2), e2, e1)

@@ -5,7 +5,11 @@ Three output formats: a human-readable aligned table (default), json-lines,
 and csv.  Exact counts are serialized as decimal strings in the machine
 formats so they round-trip losslessly; floating-point fields carry an
 explicit digits-of-precision companion field.  Output is byte-identical
-across runs with the same arguments.  Commands hand records to the
+across runs with the same arguments.  Each subcommand declares the least
+value of each of its integer flags next to its arguments, and
+_check_flags checks those and the rules that tie flags together before
+any output is opened, naming the flag in its message; no command checks a
+flag itself.  Commands hand records to the
 Emitter in blocks: a census row is one block, its t, D and source shared
 by every record and its n and count one column each.  One pass over a
 block's keys encodes its shared values into a record template, and the
@@ -275,27 +279,9 @@ class Emitter:
 
 def _t_range(args) -> tuple[int, int]:
     """First and last t of --t and --t-max (--t 1 when only --t-max is
-    given); an empty range or a t below 1 is an input error."""
-    if args.t is None and args.t_max is None:
-        raise ValueError(f"{args.command} needs --t or --t-max")
-    if args.t is None and args.t_max < 1:
-        raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
-    t_lo = args.t if args.t is not None else 1
-    t_hi = args.t_max if args.t_max is not None else args.t
-    if t_lo < 1:
-        raise ValueError(f"--t must be >= 1, got {t_lo}")
-    if t_lo > t_hi:
-        raise ValueError(f"empty t-range: --t {t_lo} is above --t-max {t_hi}")
-    return t_lo, t_hi
-
-
-def _check_d_and_n(args, t_hi: int) -> None:
-    """--D must be at least 1, and --n, when given, in 0..t_hi // (D+1)."""
-    if args.D < 1:
-        raise ValueError(f"--D must be >= 1, got {args.D}")
-    n_max = t_hi // (args.D + 1)
-    if args.n is not None and not 0 <= args.n <= n_max:
-        raise ValueError(f"--n must be in 0..{n_max} for t <= {t_hi}, got {args.n}")
+    given)."""
+    return (args.t if args.t is not None else 1,
+            args.t_max if args.t_max is not None else args.t)
 
 
 def _cmd_count(args, emitter: Emitter) -> int:
@@ -306,7 +292,6 @@ def _cmd_count(args, emitter: Emitter) -> int:
     --n, one t or a range is one walk of census_column, emitted in blocks of
     _BLOCK_RECORDS values of t."""
     t_lo, t_hi = _t_range(args)
-    _check_d_and_n(args, t_hi)
 
     def block(t, n, counts):
         return {"t": t, "D": args.D, "n": n, "count": _Decimals(counts), "source": "dp"}
@@ -330,8 +315,6 @@ def _cmd_alpha(args, emitter: Emitter) -> int:
 
 
 def _cmd_constants(args, emitter: Emitter) -> int:
-    if args.n is not None and args.n < 0:
-        raise ValueError(f"--n must be >= 0, got {args.n}")
     tol = Fraction(1, 10 ** (args.digits + 2))
     for kind, enc in (
         ("coefficient_d", coefficient_d(args.D, tol)),
@@ -352,10 +335,7 @@ def _cmd_constants(args, emitter: Emitter) -> int:
 
 
 def _cmd_table1(args, emitter: Emitter) -> int:
-    n_max = args.n if args.n is not None else 3
-    if n_max < 1:
-        raise ValueError(f"--n must be >= 1, got {n_max}")
-    for row in table1(args.t, args.D, n_max):
+    for row in table1(args.t, args.D, args.n):
         known = row.approx is not None
         emitter.emit(
             {
@@ -388,21 +368,9 @@ def _cmd_bounds(args, emitter: Emitter) -> int:
     return 0
 
 
-def _tolerance(text: str) -> Fraction:
-    try:
-        tolerance = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"--tolerance {text} has a zero denominator") from None
-    if tolerance < 0:
-        raise ValueError(f"--tolerance must be >= 0, got {text}")
-    return tolerance
-
-
 def _cmd_verify(args, emitter: Emitter) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    tolerance = {} if args.tolerance is None else {"tolerance": _tolerance(args.tolerance)}
-    if args.oracle_max_t < 1:
-        raise ValueError(f"--oracle-max-t must be >= 1, got {args.oracle_max_t}")
+    tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
     # the keywords each suite is called with; the others run at their defaults
     options = {"partition": {"oracle_max_t": args.oracle_max_t},
                "thm32": tolerance, "thm34": tolerance, "lemma33": tolerance}
@@ -430,12 +398,6 @@ def _cmd_verify(args, emitter: Emitter) -> int:
 
 
 def _cmd_enumerate(args, emitter: Emitter) -> int:
-    if args.t < 1:
-        raise ValueError(f"--t must be >= 1, got {args.t}")
-    if (args.n is None) != (args.D is None):
-        raise ValueError("--n and --D go together: give both or neither")
-    if args.D is not None:
-        _check_d_and_n(args, args.t)
     for index, comp in enumerate(enumerate_compositions(args.t, args.n, args.D)):
         signs = []
         sign = 1
@@ -455,6 +417,41 @@ def _cmd_enumerate(args, emitter: Emitter) -> int:
     return 0
 
 
+def _check_flags(args) -> None:
+    """Raise a ValueError that names the flag at the first input error of
+    args: first an integer flag below the least value its subcommand
+    declares, then a rule that ties flags together.  Parses --tolerance into a
+    Fraction in place."""
+    for dest, least in args.least.items():
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
+    if args.command in ("count", "bounds"):
+        if args.t is None and args.t_max is None:
+            raise ValueError(f"{args.command} needs --t or --t-max")
+        t_lo, t_hi = _t_range(args)
+        if t_lo > t_hi:
+            raise ValueError(f"empty t-range: --t {t_lo} is above --t-max {t_hi}")
+    if args.command == "enumerate" and (args.n is None) != (args.D is None):
+        raise ValueError("--n and --D go together: give both or neither")
+    # n of count and enumerate is a cell of the census row of each t
+    if args.command in ("count", "enumerate") and args.n is not None:
+        t_hi = args.t if args.command == "enumerate" else _t_range(args)[1]
+        n_max = t_hi // (args.D + 1)
+        if args.n > n_max:
+            raise ValueError(f"--n must be <= {n_max} for t <= {t_hi}, got {args.n}")
+    if args.command == "verify" and args.tolerance is not None:
+        text = args.tolerance
+        try:
+            args.tolerance = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"--tolerance {text} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"--tolerance must be a number such as 1/1000, got {text}") from None
+        if args.tolerance < 0:
+            raise ValueError(f"--tolerance must be >= 0, got {text}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspcensus",
@@ -463,59 +460,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, func, **least):
+        """The flags of every subcommand, its function, and the least value
+        of each of its integer flags by dest, which _check_flags reads."""
         p.add_argument("--format", choices=("table", "json-lines", "csv"),
                        default="table")
         p.add_argument("--out", metavar="PATH", default=None)
         p.add_argument("--digits", type=int, default=12)
+        p.set_defaults(func=func, least={**least, "digits": 1})
 
     p = sub.add_parser("count", help="census rows for one t or a t-range")
     p.add_argument("--t", type=int)
     p.add_argument("--t-max", dest="t_max", type=int)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--n", type=int)
-    add_common(p)
-    p.set_defaults(func=_cmd_count)
+    add_common(p, _cmd_count, t=1, t_max=1, D=1, n=0)
 
     p = sub.add_parser("alpha", help="certified enclosure of the growth rate")
     p.add_argument("--D", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_alpha)
+    add_common(p, _cmd_alpha, D=2)
 
     p = sub.add_parser("constants", help="d_D and the limit constants")
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--n", type=int)
-    add_common(p)
-    p.set_defaults(func=_cmd_constants)
+    add_common(p, _cmd_constants, D=2, n=0)
 
     p = sub.add_parser("table1", help="the four census families at one (t, D)")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--n", type=int, help="largest n for the depth-one rows")
-    add_common(p)
-    p.set_defaults(func=_cmd_table1)
+    p.add_argument("--n", type=int, default=3, help="largest n for the depth-one rows")
+    add_common(p, _cmd_table1, t=1, D=2, n=1)
 
     p = sub.add_parser("bounds", help="certified sandwich for one-excursion counts")
     p.add_argument("--t", type=int)
     p.add_argument("--t-max", dest="t_max", type=int)
     p.add_argument("--D", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_bounds)
+    add_common(p, _cmd_bounds, t=1, t_max=1, D=2)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=("all",) + tuple(SUITES), default="all")
     p.add_argument("--oracle-max-t", dest="oracle_max_t", type=int,
                    default=DEFAULT_ORACLE_CAP)
     p.add_argument("--tolerance", type=str)
-    add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    add_common(p, _cmd_verify, oracle_max_t=1)
 
     p = sub.add_parser("enumerate", help="compositions and their normal forms")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--D", type=int)
-    add_common(p)
-    p.set_defaults(func=_cmd_enumerate)
+    add_common(p, _cmd_enumerate, t=1, D=1, n=0)
 
     return parser
 
@@ -523,15 +516,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     """Run one subcommand.  Exit status: 0 when it ran (also when the
     reader of stdout closed it early, as `| head` does), 1 when a
-    verification suite failed, 2 on a usage or input error, or when a
-    certified value could not be resolved (PrecisionExhausted)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.digits < 1:
-        parser.error("--digits must be >= 1")
+    verification suite failed, 2 on a usage or input error, when a
+    certified value could not be resolved (PrecisionExhausted), or when the
+    output could not be written.  Every flag is checked before --out is
+    opened, so an input error leaves an existing --out file as it was."""
+    args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emitter = Emitter(args.format, out)
@@ -543,11 +536,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # nothing more can be written; point stdout at the null device so
-        # the interpreter's flush at exit does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    except OSError as exc:
+        # nothing more can be written; point the output at the null device
+        # so its close and the interpreter's flush at exit do not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return 0
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if args.out:
             out.close()

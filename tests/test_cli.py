@@ -215,33 +215,42 @@ def test_verify_json_records_carry_comparison():
     assert all(r["status"] == "pass" for r in recs)
 
 
+USAGE_ERRORS = (
+    ["count", "--D", "2"],
+    ["count", "--t", "0", "--D", "1"],
+    ["alpha", "--D", "1"],
+    ["bounds", "--D", "2"],
+    ["verify", "--suite", "thm32", "--tolerance", "junk"],
+    ["verify", "--suite", "thm32", "--tolerance", "1/0"],
+    ["verify", "--suite", "thm32", "--tolerance", "-1"],
+    ["count", "--t", "5", "--t-max", "3", "--D", "2"],
+    ["bounds", "--t", "5", "--t-max", "3", "--D", "2"],
+    ["verify", "--suite", "partition", "--oracle-max-t", "-3"],
+    ["verify", "--suite", "partition", "--oracle-max-t", "0"],
+    ["count", "--t", "3", "--D", "2", "--n", "-1"],
+    ["count", "--t", "3", "--D", "2", "--n", "2"],
+    ["count", "--t", "3", "--D", "-1", "--n", "0"],
+    ["enumerate", "--t", "3", "--n", "5", "--D", "1"],
+    ["enumerate", "--t", "0"],
+    ["enumerate", "--t", "3", "--n", "0", "--D", "-1"],
+    ["table1", "--t", "5", "--D", "2", "--n", "0"],
+    ["table1", "--t", "5", "--D", "2", "--n", "-1"],
+    ["count", "--t-max", "0", "--D", "1"],
+    ["bounds", "--t-max", "0", "--D", "2"],
+    ["constants", "--D", "2", "--n", "-1"],
+    ["enumerate", "--t", "5", "--n", "1"],
+    ["enumerate", "--t", "5", "--D", "2"],
+    ["alpha", "--D", "0"],
+    ["constants", "--D", "1"],
+    ["bounds", "--t", "3", "--D", "0"],
+    ["table1", "--t", "5", "--D", "0"],
+    ["table1", "--t", "0", "--D", "2"],
+    ["count", "--t", "3", "--D", "1", "--digits", "0"],
+)
+
+
 def test_usage_errors_exit_two():
-    for argv in (
-        ["count", "--D", "2"],
-        ["count", "--t", "0", "--D", "1"],
-        ["alpha", "--D", "1"],
-        ["bounds", "--D", "2"],
-        ["verify", "--suite", "thm32", "--tolerance", "junk"],
-        ["verify", "--suite", "thm32", "--tolerance", "1/0"],
-        ["verify", "--suite", "thm32", "--tolerance", "-1"],
-        ["count", "--t", "5", "--t-max", "3", "--D", "2"],
-        ["bounds", "--t", "5", "--t-max", "3", "--D", "2"],
-        ["verify", "--suite", "partition", "--oracle-max-t", "-3"],
-        ["verify", "--suite", "partition", "--oracle-max-t", "0"],
-        ["count", "--t", "3", "--D", "2", "--n", "-1"],
-        ["count", "--t", "3", "--D", "2", "--n", "2"],
-        ["count", "--t", "3", "--D", "-1", "--n", "0"],
-        ["enumerate", "--t", "3", "--n", "5", "--D", "1"],
-        ["enumerate", "--t", "0"],
-        ["enumerate", "--t", "3", "--n", "0", "--D", "-1"],
-        ["table1", "--t", "5", "--D", "2", "--n", "0"],
-        ["table1", "--t", "5", "--D", "2", "--n", "-1"],
-        ["count", "--t-max", "0", "--D", "1"],
-        ["bounds", "--t-max", "0", "--D", "2"],
-        ["constants", "--D", "2", "--n", "-1"],
-        ["enumerate", "--t", "5", "--n", "1"],
-        ["enumerate", "--t", "5", "--D", "2"],
-    ):
+    for argv in USAGE_ERRORS:
         code, _, err = run(argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
@@ -255,8 +264,26 @@ def test_usage_errors_exit_two():
         (["count", "--t", "3", "--D", "-1", "--n", "0"], "--D must be >= 1, got -1"),
         (["enumerate", "--t", "5", "--n", "1"], "--n and --D go together: give both or neither"),
         (["enumerate", "--t", "5", "--D", "2"], "--n and --D go together: give both or neither"),
+        (["alpha", "--D", "0"], "--D must be >= 2, got 0"),
+        (["constants", "--D", "1"], "--D must be >= 2, got 1"),
+        (["bounds", "--t", "3", "--D", "0"], "--D must be >= 2, got 0"),
+        (["table1", "--t", "5", "--D", "0"], "--D must be >= 2, got 0"),
+        (["table1", "--t", "0", "--D", "2"], "--t must be >= 1, got 0"),
+        (["count", "--t", "3", "--D", "1", "--digits", "0"], "--digits must be >= 1, got 0"),
+        (["verify", "--suite", "thm32", "--tolerance", "junk"],
+         "--tolerance must be a number such as 1/1000, got junk"),
     ):
         assert run(argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_usage_errors_keep_the_out_file(tmp_path):
+    # every flag is checked before --out is opened, so a rejected command
+    # leaves an existing file as it was
+    path = tmp_path / "kept.txt"
+    for argv in USAGE_ERRORS:
+        path.write_bytes(b"precious\n")
+        assert run([*argv, "--out", str(path)])[0] == 2, argv
+        assert path.read_bytes() == b"precious\n", argv
 
 
 def test_precision_exhausted_exits_two(monkeypatch):
@@ -340,9 +367,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def cli_process(*argv, **kwargs):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.Popen(
         [sys.executable, "-m", "cuspcensus.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs,
+        stderr=subprocess.PIPE, env=env, **kwargs,
     )
 
 
@@ -354,6 +382,21 @@ def test_unwritable_out_path_exits_two(tmp_path):
     assert proc.returncode == 2
     assert out == b""
     assert err.startswith(b"error:") and b"Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
+def test_full_device_exits_two(to_out):
+    argv = ["count", "--t", "7", "--D", "1", "--format", "csv"]
+    with open("/dev/full", "w") as full:
+        if to_out:
+            proc = cli_process(*argv, "--out", "/dev/full")
+        else:
+            proc = cli_process(*argv, stdout=full)
+        out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.startswith(b"error:") and err.count(b"\n") == 1
+    assert b"Traceback" not in err
 
 
 def test_reader_closing_the_pipe_ends_quietly():
