@@ -15,8 +15,9 @@ The package splits into:
   ways: a t-range of census rows by a recurrence holding the last D+1
   rows, O(D * row) memory; one row alone from its (y-1)-basis
   coefficients, packed into one integer; a census column or cell by a
-  recurrence in t holding O(D) integers.  Memory is bounded by the
-  request; no state outlives a call.
+  recurrence in t holding O(D) integers; and the positional double sum
+  the kernel is checked against, one t or one column at a time.  Memory
+  is bounded by the request; no state outlives a call.
 - ``spectral``: growth rates as certified root enclosures, closed-form
   counts, limit constants, and rigorous two-sided bounds.
 - ``census``: the verification harness tying enumeration oracles to the
@@ -42,6 +43,7 @@ from .compositions import (
     count_bounded,
     count_exact_excursions,
     enumerate_compositions,
+    two_excursion_column,
     two_excursion_sum,
 )
 from .matrices import (
@@ -123,6 +125,7 @@ __all__ = [
     "run_sequence",
     "solve_alpha",
     "table1",
+    "two_excursion_column",
     "two_excursion_sum",
     "verify_theorem_2n_depth1",
     "verify_theorem_two_excursions",

@@ -39,7 +39,7 @@ from .compositions import (
     count_all,
     count_bounded,
     count_exact_excursions,
-    two_excursion_sum,
+    two_excursion_column,
 )
 from .spectral import (
     bounds_two_excursions_range,
@@ -365,12 +365,23 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
 # -- verification suites ---------------------------------------------------------
 #
 # Each suite aggregates the checks behind one headline claim, sized so the
-# full battery stays within interactive runtimes at its defaults.
+# full battery stays within interactive runtimes at its defaults.  A size
+# below its least value would leave a suite with no check, or an empty
+# range, to pass on, so it is rejected by name.
+
+
+def _check_least(**sizes: tuple[int, int]) -> None:
+    """Raise ValueError naming the first size below its least value; each
+    keyword maps a parameter name to (value, least)."""
+    for name, (value, least) in sizes.items():
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def suite_bijection(t_max: int = 14) -> VerificationReport:
     """Normal forms at every t <= t_max pair up two-to-one under cyclic
     conjugacy into 2^{t-1} classes."""
+    _check_least(t_max=(t_max, 1))
     if t_max > CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
     checks = []
@@ -391,8 +402,7 @@ def suite_partition(
     match the tuple-space oracle cell by cell for t <= oracle_max_t: the
     point rows of excursion_census and the kernel's rows, one pass of
     census_rows per D."""
-    if oracle_max_t < 1:
-        raise ValueError(f"oracle_max_t must be >= 1, got {oracle_max_t}")
+    _check_least(t_max=(t_max, 1), d_max=(d_max, 1), oracle_max_t=(oracle_max_t, 1))
     checks = []
     for D in range(1, d_max + 1):
         for t, kernel_row in census_rows(1, t_max, D):
@@ -417,6 +427,7 @@ def suite_partition(
 
 def suite_closed_form(t_max: int = 500, d_max: int = 12) -> VerificationReport:
     """rnd(d_D alpha_D^t) equals the exact bounded count everywhere."""
+    _check_least(t_max=(t_max, 0), d_max=(d_max, 2))
     checks = []
     for D in range(2, d_max + 1):
         mismatches = sum(
@@ -431,15 +442,19 @@ def suite_double_sum(
     t_max: int = 300, d_max: int = 8, bounds_t_max: int = 200, bounds_d_max: int = 6
 ) -> VerificationReport:
     """The positional double sum reproduces the one-excursion census, and
-    the closed-form estimates sandwich it.  The census is read one column
-    per D; a t where the column and the bounds do not line up counts as a
-    violation."""
+    the closed-form estimates sandwich it.  The census and the double sums
+    are each read one column per D; a t where two columns do not line up
+    counts as a mismatch, or a violation."""
+    _check_least(
+        t_max=(t_max, 1), d_max=(d_max, 2),
+        bounds_t_max=(bounds_t_max, 1), bounds_d_max=(bounds_d_max, 2),
+    )
     checks = []
     for D in range(2, d_max + 1):
-        mismatches = sum(
-            1 for t, count in census_column(1, t_max, 1, D)
-            if two_excursion_sum(t, D) != count
+        pairs = zip_longest(
+            census_column(1, t_max, 1, D), two_excursion_column(1, t_max, D)
         )
+        mismatches = sum(1 for cell, total in pairs if cell != total)
         checks.append(_within("double_sum_mismatches", (D, t_max), mismatches, 0, 0))
     for D in range(2, bounds_d_max + 1):
         pairs = zip_longest(
@@ -458,13 +473,14 @@ def suite_double_sum(
 
 
 def _binomial_row(t: int) -> list[int]:
-    """C(t, 0), ..., C(t, t) by C(t, k+1) = C(t, k) (t - k) / (k + 1), where
-    the division is exact: the reference of the depth-1 sweep, built from
-    t alone and without the counting kernel."""
+    """C(t, 0), ..., C(t, t): the reference of the depth-1 sweep, built from
+    t alone and without the counting kernel.  The first half, k <= t/2, is
+    built by C(t, k+1) = C(t, k) (t - k) / (k + 1), where the division is
+    exact, and the rest mirrored from it by C(t, k) = C(t, t - k)."""
     row = [1]
-    for k in range(t):
+    for k in range(t // 2):
         row.append(row[-1] * (t - k) // (k + 1))
-    return row
+    return row + row[: t - t // 2][::-1]
 
 
 def suite_thm32(
@@ -476,6 +492,7 @@ def suite_thm32(
     converging to 1/(2n)!.  The exact sweep compares each kernel row with
     the even entries of the binomial row of t; a row of the wrong length
     counts its missing or extra cells as mismatches."""
+    _check_least(exact_t_max=(exact_t_max, 1))
     checks = []
     mismatches = 0
     for t, row in census_rows(1, exact_t_max, 1):
@@ -496,6 +513,8 @@ def suite_thm34(
     tolerance: Fraction = Fraction(1, 50),
 ) -> VerificationReport:
     """Convergence of the one-excursion count to its t alpha^t asymptote."""
+    if not d_list:
+        raise ValueError("d_list must be nonempty")
     checks = []
     for D in d_list:
         checks.extend(verify_theorem_two_excursions(D, t_list, tolerance).checks)
@@ -551,6 +570,7 @@ def suite_lemma33(
 def suite_matrices(t_max: int = 12) -> VerificationReport:
     """Generator relations, parabolicity of ab, and hyperbolicity plus the
     involution factorization of every normal form."""
+    _check_least(t_max=(t_max, 1))
     from .matrices import (
         GEN_A, GEN_B, PSL2Element, classify, evaluate, factors_through_involution,
     )

@@ -33,16 +33,18 @@ read in five ways, none of which keeps a table:
   (count_exact_excursions), O(t) steps for any n;
 * y = 0: column n = 0 is the bounded count (count_bounded).
 
-The positional double sum (``product_at``, ``two_excursion_sum``) is the
-independent route the kernel is checked against; it builds the bounded
-counts it needs by their D-term sum, per call.  Nothing is kept between
-calls: every function is a pure function of its arguments, and memory is
-bounded by the request.
+The positional double sum (``product_at``, ``two_excursion_sum``,
+``two_excursion_column``) is the independent route the kernel is checked
+against; it builds the bounded counts it needs by their D-term sum, once
+per call: a column of double sums shares them across its t-range.
+Nothing is kept between calls: every function is a pure function of its
+arguments, and memory is bounded by the request.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from itertools import accumulate, islice, zip_longest
 from typing import Iterator, Optional
@@ -268,22 +270,43 @@ def two_excursion_sum(t: int, D: int) -> int:
     grouping the (k, r) grid by i = k - 1 turns the double sum into
     sum_{i=0}^{s} a_i A_{s-i}: the parts before the big one form a bounded
     composition of i, and those after it one of any j <= s - i, the big
-    part taking up the rest.
+    part taking up the rest.  It is the one cell t of
+    two_excursion_column.
 
     >>> two_excursion_sum(5, 2)
     8
     >>> two_excursion_sum(2, 2)
     0
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    ((_, total),) = two_excursion_column(t, t, D)
+    return total
+
+
+def two_excursion_column(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, int]]:
+    """(t, two_excursion_sum(t, D)) for t = t_lo..t_hi.
+
+    The bounded counts a_0, ..., a_s up to the last s = t_hi - D - 1 are
+    built once, by their D-term sum, with their prefix sums A_j; each t
+    then costs its own sum over i.  The arguments are checked at the
+    call; an empty range yields nothing.
+
+    >>> list(two_excursion_column(3, 6, 2))
+    [(3, 1), (4, 3), (5, 8), (6, 18)]
+    """
+    if t_lo < 1:
+        raise ValueError(f"t must be >= 1, got {t_lo}")
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    s = t - D - 1
-    if s < 0:
-        return 0
-    a = _bounded_counts(D, s)
-    return sum(x * y for x, y in zip(reversed(a), accumulate(a)))
+    return _double_sums(t_lo, t_hi, D)
+
+
+def _double_sums(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, int]]:
+    a = _bounded_counts(D, t_hi - D - 1)
+    prefix = list(accumulate(a))
+    for t in range(t_lo, t_hi + 1):
+        s = t - D - 1
+        # a[s::-1] is a_s, ..., a_0, paired with A_0, ..., A_s
+        yield t, sum(map(operator.mul, a[s::-1], prefix)) if s >= 0 else 0
 
 
 def _composition_from_glue(t: int, glue: int) -> Composition:

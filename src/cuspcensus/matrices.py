@@ -11,9 +11,10 @@ alternating-sign reciprocal word grows geometrically in t, with ratio
 
 Every :class:`Mat2Z` checks its determinant when it is built.  The
 product of two of them builds a new one, so a chain of products checks
-each step; :func:`evaluate` instead folds a word's generator entries as
-plain integers and builds one matrix at the end, so the determinant of
-each evaluated word is checked once, on the whole product.
+each step; :func:`evaluate` instead folds a word four letters at a time,
+on plain integers, from a table of the products of every word of one to
+four letters built at import, and builds one matrix at the end, so the
+determinant of each evaluated word is checked once, on the whole product.
 """
 
 from __future__ import annotations
@@ -62,11 +63,34 @@ GEN_A = Mat2Z(0, -1, 1, 0)
 GEN_B = Mat2Z(1, -1, 1, 0)
 GEN_B_INV = Mat2Z(0, 1, -1, 1)
 
-# The entries (p, q, r, s) of each syllable's generator, for evaluate.
+# The entries (p, q, r, s) of each syllable's generator.
 _ENTRIES = {
     syllable: (m.p, m.q, m.r, m.s)
     for syllable, m in (("a", GEN_A), ("b", GEN_B), ("B", GEN_B_INV))
 }
+
+#: letters folded per step of evaluate
+_CHUNK = 4
+
+
+def _build_chunks() -> dict[tuple[str, ...], tuple[int, int, int, int]]:
+    """The entries of the product of every word of 1 to _CHUNK letters,
+    keyed by its syllables (3 + 9 + 27 + 81 = 120 words)."""
+    chunks = {(syllable,): g for syllable, g in _ENTRIES.items()}
+    level = dict(chunks)
+    for _ in range(_CHUNK - 1):
+        level = {
+            word + (syllable,): (
+                p * gp + q * gr, p * gq + q * gs, r * gp + s * gr, r * gq + s * gs
+            )
+            for word, (p, q, r, s) in level.items()
+            for syllable, (gp, gq, gr, gs) in _ENTRIES.items()
+        }
+        chunks.update(level)
+    return chunks
+
+
+_CHUNKS = _build_chunks()
 
 
 def _leading_sign(m: Mat2Z) -> int:
@@ -109,18 +133,20 @@ def evaluate(w: GroupWord) -> PSL2Element:
     """Evaluate a word under a -> A, b -> B, mod +-I.
 
     Free reduction commutes with evaluation, so the word need not be
-    reduced.  The product is folded syllable by syllable on four integers,
-    the entries of the running matrix, and one :class:`Mat2Z` is built at
-    the end, so the determinant is checked once, on the whole product.
+    reduced.  The product is folded on four integers, the entries of the
+    running matrix, one step per four syllables (fewer in the last step),
+    each step one product with a table entry; one :class:`Mat2Z` is built
+    at the end, so the determinant is checked once, on the whole product.
 
     >>> evaluate(GroupWord.from_string("aa")).is_identity()
     True
     >>> evaluate(GroupWord.from_string("abaB")).trace_abs
     3
     """
+    syllables = w.syllables
     p, q, r, s = 1, 0, 0, 1
-    for syllable in w.syllables:
-        gp, gq, gr, gs = _ENTRIES[syllable]
+    for i in range(0, len(syllables), _CHUNK):
+        gp, gq, gr, gs = _CHUNKS[syllables[i : i + _CHUNK]]
         p, q, r, s = p * gp + q * gr, p * gq + q * gs, r * gp + s * gr, r * gq + s * gs
     return PSL2Element.of(Mat2Z(p, q, r, s))
 
@@ -158,8 +184,22 @@ def factors_through_involution(word: GroupWord, value: PSL2Element) -> bool:
     `word` whose evaluation `value` is already known: P = x a x^{-1}, with
     x the first half of word, is an involution and value = P * a.  Only
     the half word is evaluated here.
+
+    With x = [[p, q], [r, s]] and a = [[0, -1], [1, 0]],
+    P = [[pr + qs, -(p^2 + q^2)], [r^2 + s^2, -(pr + qs)]], built as one
+    :class:`Mat2Z` (so det P = 1 is checked), and P * a =
+    [[P_q, -P_p], [P_s, -P_r]]; both products are compared entry by entry,
+    up to sign.
     """
-    x = evaluate(GroupWord(word.syllables[: len(word.syllables) // 2]))
-    a = PSL2Element.of(GEN_A)
-    p = x * a * x.inverse()
-    return (p * p).is_identity() and value == p * a
+    x = evaluate(GroupWord(word.syllables[: len(word.syllables) // 2])).rep
+    u = x.p * x.r + x.q * x.s
+    p = Mat2Z(u, -(x.p * x.p + x.q * x.q), x.r * x.r + x.s * x.s, -u)
+    square = (
+        p.p * p.p + p.q * p.r, p.p * p.q + p.q * p.s,
+        p.r * p.p + p.s * p.r, p.r * p.q + p.s * p.s,
+    )
+    times_a = (p.q, -p.p, p.s, -p.r)
+    m = value.rep
+    return square in ((1, 0, 0, 1), (-1, 0, 0, -1)) and (m.p, m.q, m.r, m.s) in (
+        times_a, tuple(-e for e in times_a)
+    )

@@ -41,9 +41,6 @@ _NEGATED_PAIR = {1: "aB", -1: "ab"}
 # free factor.
 _REDUCIBLE = re.compile("aa|[bB][bB]")
 
-# Fixed total order on syllables used by canonical_cyclic_form: a < b < b^-1.
-_ROTATION_KEY = str.maketrans("abB", "012")
-
 
 class NotNormalForm(ValueError):
     """Raised when a word does not match the reciprocal template."""
@@ -311,19 +308,34 @@ def canonical_cyclic_form(w: GroupWord) -> GroupWord:
     the fixed syllable order a < b < b^-1.  Two reduced words are conjugate
     in Z2 * Z3 exactly when their canonical cyclic forms are equal.
 
-    The least rotation starts with the least letter, so only the rotations
-    starting there are compared, as slices of the doubled word; the first
-    position of the least slice is the rotation returned.
+    A cyclically reduced word of length >= 2 alternates between the two
+    free factors, so its least rotation starts at an ``a`` and is fixed by
+    the least rotation of its b-letters.  That one begins with a longest
+    cyclic run of ``b``: the b-letters are rotated to end with a ``B``, so
+    that no run wraps around, the run length is read off ``str.split`` and
+    its starts found with ``str.find``, and only the rotations starting
+    there are compared, as slices of the doubled b-letters.
 
     >>> str(canonical_cyclic_form(GroupWord.from_string("BabaBa")))
     'abaBaB'
     """
     text = _cyclic_reduce("".join(reduce_word(w).syllables))
-    n = len(text)
-    if n <= 1:
+    if len(text) <= 1:
         return GroupWord(tuple(text))
-    keyed = text.translate(_ROTATION_KEY)
-    doubled = keyed + keyed
-    least = min(keyed)
-    best = doubled.index(min(doubled[i : i + n] for i in range(n) if keyed[i] == least))
-    return GroupWord(tuple(text[best:] + text[:best]))
+    letters = text[1::2] if text[0] == "a" else text[::2]
+    k = letters.find("B")
+    # b-letters all equal read the same from every start
+    if k >= 0 and "b" in letters:
+        letters = letters[k + 1 :] + letters[: k + 1]
+        run = "b" * max(map(len, letters.split("B"))) + "B"
+        n = len(letters)
+        doubled = letters + letters
+        # B sorts before b in ASCII, the reverse of b < b^-1, so among
+        # slices of one length the least rotation is the greatest string
+        best = ""
+        i = letters.find(run)
+        while i >= 0:
+            best = max(best, doubled[i : i + n])
+            i = letters.find(run, i + len(run))
+        letters = best
+    return GroupWord(tuple("a" + "a".join(letters)))

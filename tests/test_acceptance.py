@@ -73,7 +73,7 @@ class _Gate:
 
 
 def test_criterion_01_conjugacy_classes_pair_up(capsys):
-    with _Gate(1, "conjugacy-classes-pair-up", 120, capsys):
+    with _Gate(1, "conjugacy-classes-pair-up", 30, capsys):
         for t in range(1, 15):
             sizes = conjugacy_class_sizes(t)
             assert len(sizes) == 2 ** (t - 1)
@@ -159,7 +159,7 @@ def test_criterion_08_excursion_terms_behave(capsys):
 
 
 def test_criterion_09_matrix_words_are_hyperbolic(capsys):
-    with _Gate(9, "matrix-words-are-hyperbolic", 60, capsys):
+    with _Gate(9, "matrix-words-are-hyperbolic", 30, capsys):
         assert PSL2Element.of(GEN_A * GEN_A).is_identity()
         assert PSL2Element.of(GEN_B * GEN_B * GEN_B).is_identity()
         assert classify(evaluate(GroupWord(("a", "b")))) == "parabolic"

@@ -3,6 +3,7 @@
 import ast
 import io
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,26 @@ def test_column_suites_fail_on_one_wrong_count(monkeypatch, suite, kwargs, name)
     assert all(c.measured == 1 for c in failed if c.name == name)
 
 
+@pytest.mark.parametrize("fault", [
+    lambda cells: cells[:-1],  # the last t is missing
+    lambda cells: cells[:20] + cells[21:],  # one t in the middle is missing
+    lambda cells: [(t, total + (t == 33)) for t, total in cells],  # one wrong sum
+    lambda cells: cells + [(61, 0)],  # one t too many
+])
+def test_double_sum_mismatches_count_a_faulty_double_sum_column(monkeypatch, fault):
+    # the positional side is read one column per D too, so a cell it drops
+    # or changes must count as a mismatch
+    column = census.two_excursion_column
+    monkeypatch.setattr(
+        census, "two_excursion_column",
+        lambda t_lo, t_hi, D: iter(fault(list(column(t_lo, t_hi, D)))),
+    )
+    report = suite_double_sum(t_max=60, d_max=3, bounds_t_max=20, bounds_d_max=2)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["double_sum_mismatches"] * 2
+    assert all(c.measured >= 1 for c in failed)
+
+
 @pytest.mark.parametrize("fault, violations", [
     (lambda cells: cells[:-1], 1),  # the column ends a t early
     (lambda cells: [(t + 1, count) for t, count in cells], 20),  # off by one t
@@ -226,6 +247,11 @@ def test_binomial_reference_reaches_no_kernel_name():
     assert not used & kernel_names, used & kernel_names
     assert census._binomial_row(6) == [1, 6, 15, 20, 15, 6, 1]
     assert census._binomial_row(0) == [1]
+
+
+def test_binomial_row_equals_math_comb():
+    for t in range(65):
+        assert census._binomial_row(t) == [math.comb(t, k) for k in range(t + 1)]
 
 
 def test_signs_of_mask_match_the_per_bit_reading():
@@ -397,6 +423,26 @@ def test_suites_pass_at_reduced_scales():
     assert suite_thm34(d_list=(2,), t_list=(250, 500), tolerance=Fraction(1, 20)).passed
     assert suite_lemma33(t_ref=400, t_max=800, tolerance=Fraction(1, 25)).passed
     assert suite_matrices(t_max=6).passed
+
+
+@pytest.mark.parametrize("suite, kwargs, name", [
+    (suite_bijection, dict(t_max=0), "t_max"),
+    (suite_partition, dict(t_max=0), "t_max"),
+    (suite_partition, dict(d_max=0), "d_max"),
+    (suite_partition, dict(oracle_max_t=0), "oracle_max_t"),
+    (suite_closed_form, dict(t_max=-5), "t_max"),
+    (suite_closed_form, dict(d_max=1), "d_max"),
+    (suite_double_sum, dict(t_max=0), "t_max"),
+    (suite_double_sum, dict(d_max=1), "d_max"),
+    (suite_double_sum, dict(bounds_t_max=0), "bounds_t_max"),
+    (suite_double_sum, dict(bounds_d_max=1), "bounds_d_max"),
+    (suite_thm32, dict(exact_t_max=0), "exact_t_max"),
+    (suite_thm34, dict(d_list=()), "d_list"),
+    (suite_matrices, dict(t_max=0), "t_max"),
+])
+def test_suites_reject_a_size_that_leaves_nothing_to_check(suite, kwargs, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        suite(**kwargs)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -21,6 +21,7 @@ from cuspcensus.compositions import (
     count_exact_excursions,
     enumerate_compositions,
     product_at,
+    two_excursion_column,
     two_excursion_sum,
 )
 
@@ -220,6 +221,30 @@ def test_two_excursion_sum_counts_single_excursions():
     for t in range(1, 121):
         for D in range(2, 6):
             assert two_excursion_sum(t, D) == count_exact_excursions(t, 1, D)
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [(1, 90), (2, 3), (5, 90), (40, 41), (7, 7)])
+@pytest.mark.parametrize("D", [1, 2, 3, 8])
+def test_two_excursion_column_equals_the_one_t_sums(t_lo, t_hi, D):
+    # the column reuses one table of bounded counts; below t = D + 1 and
+    # from a t_lo above 1 it must still give each t its own sum
+    expected = []
+    for t in range(t_lo, t_hi + 1):
+        s = t - D - 1
+        a = [count_bounded(i, D) for i in range(max(s + 1, 0))]
+        expected.append((t, sum(a[i] * sum(a[: s - i + 1]) for i in range(s + 1))))
+    assert list(two_excursion_column(t_lo, t_hi, D)) == expected
+    assert [(t, two_excursion_sum(t, D)) for t in range(t_lo, t_hi + 1)] == expected
+
+
+def test_two_excursion_column_edge_ranges_and_arguments():
+    assert list(two_excursion_column(9, 8, 2)) == []
+    assert list(two_excursion_column(1, 3, 3)) == [(1, 0), (2, 0), (3, 0)]
+    for args in ((0, 5, 2), (1, 5, 0)):
+        with pytest.raises(ValueError):
+            two_excursion_column(*args)
+        with pytest.raises(ValueError):
+            two_excursion_sum(args[0], args[2])
 
 
 # -- enumeration -------------------------------------------------------------------

@@ -105,6 +105,15 @@ def test_evaluate_equals_fold_of_generator_products(w):
     assert evaluate(w) == PSL2Element.of(product)
 
 
+def test_evaluate_equals_the_one_letter_fold_on_every_short_word():
+    # lengths 0-7 end the four-letter fold on a tail of every length 1-3
+    generator = {"a": GEN_A, "b": GEN_B, "B": GEN_B_INV}
+    for n in range(8):
+        for word in itertools.product(ALPHABET, repeat=n):
+            product = functools.reduce(operator.mul, map(generator.get, word), IDENTITY)
+            assert evaluate(GroupWord(word)) == PSL2Element.of(product)
+
+
 @given(raw_words)
 def test_psl_inverse(w):
     m = evaluate(w)

@@ -281,6 +281,30 @@ def test_canonical_cyclic_form_is_the_least_rotation(w):
     assert letters(canonical_cyclic_form(w)) == least_rotation(letters(w))
 
 
+def test_canonical_cyclic_form_is_the_least_rotation_of_every_short_word():
+    # every word over {a, b, B} of length <= 8: all-b and all-B words,
+    # runs of b that wrap around the end, and periodic ties among the runs
+    total = 0
+    for n in range(9):
+        for word in itertools.product(ALPHABET, repeat=n):
+            text = "".join(word)
+            assert letters(canonical_cyclic_form(GroupWord(word))) == least_rotation(text)
+            total += 1
+    assert total == 9841
+
+
+def test_canonical_cyclic_form_breaks_ties_between_longest_runs():
+    # alternating words with up to ten b-letters: from five on, two longest
+    # runs of b can be followed by different letters, so the first run
+    # found is not always the start of the least rotation
+    for m in range(1, 11):
+        for b_letters in itertools.product("bB", repeat=m):
+            text = "a" + "a".join(b_letters)
+            for rotated in (text, text[1:] + text[0]):
+                canon = canonical_cyclic_form(GroupWord.from_string(rotated))
+                assert letters(canon) == least_rotation(rotated)
+
+
 def test_canonical_cyclic_form_separates_nonconjugates():
     # the two projective classes at t = 2 are not conjugate
     w1 = reciprocal_word(EpsilonSeq((1, 1))).word
