@@ -38,7 +38,6 @@ from .census import (
     verify_theorem_two_excursions,
 )
 from .compositions import (
-    RangeError,
     count_all,
     count_bounded,
     count_exact_excursions,
@@ -97,7 +96,6 @@ __all__ = [
     "NotNormalForm",
     "PSL2Element",
     "PrecisionExhausted",
-    "RangeError",
     "ReciprocalNormalForm",
     "SUITES",
     "Table1Row",

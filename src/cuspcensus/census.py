@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
+from ._contract import check_least
 from .compositions import (
     binomial,
     census_column,
@@ -136,10 +137,7 @@ def excursion_census(t: int, D: int) -> list[CensusRow]:
     Row counts sum to 2^{t-1}: the census partitions all reciprocal
     geodesics of that length.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
+    check_least(t=(t, 1), D=(D, 1))
     return [CensusRow(t, D, n, count, "dp") for n, count in enumerate(census_row(t, D))]
 
 
@@ -185,7 +183,8 @@ def conjugacy_class_sizes(t: int) -> Counter:
     Every class must have size exactly 2.  The census's only word route:
     recomputed on every call, and capped at t = CONJUGACY_CAP.
     """
-    if not 1 <= t <= CONJUGACY_CAP:
+    check_least(t=(t, 1))
+    if t > CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
     return Counter(
         str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(_signs_of_mask(t, m))).word))
@@ -197,10 +196,7 @@ def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusR
     """Brute-force census over sign masks, independent of the DP route and
     of the word route.  Checks the two-to-one projectivization before the
     tally; the cyclic-conjugacy pairing is suite_bijection's check."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
+    check_least(t=(t, 1), D=(D, 1))
     if t > cap:
         raise CapExceeded(f"oracle census capped at t <= {cap}, got {t}")
     sizes, runs = _oracle_tally(t)
@@ -226,6 +222,14 @@ def _ratio_to_limit(count: int, t: int, power_base: Fraction) -> float:
     return float(ln.exp())
 
 
+def _check_t_list(t_list: Sequence[int]) -> None:
+    """The t of a convergence check are nonempty, strictly ascending and
+    at least 1, so that every count and ratio along them is defined."""
+    if not t_list or list(t_list) != sorted(set(t_list)):
+        raise ValueError("t_list must be nonempty and strictly ascending")
+    check_least(**{"t_list[0]": (t_list[0], 1)})
+
+
 def verify_theorem_2n_depth1(
     n: int,
     t_list: Sequence[int],
@@ -234,10 +238,8 @@ def verify_theorem_2n_depth1(
     """At depth 1: the census count equals C(t, 2n) exactly, and
     C(t,2n)/t^{2n} converges to 1/(2n)! with the deviation shrinking along
     t_list and below tolerance at its last entry."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if list(t_list) != sorted(set(t_list)) or not t_list:
-        raise ValueError("t_list must be nonempty and strictly ascending")
+    check_least(n=(n, 0))
+    _check_t_list(t_list)
     checks = []
     deviations = []
     factorial = math.factorial(2 * n)
@@ -273,10 +275,8 @@ def verify_theorem_two_excursions(
     width contributes well under a tenth of the tolerance; floating point
     enters only in the final reported ratio.
     """
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
-    if list(t_list) != sorted(set(t_list)) or not t_list:
-        raise ValueError("t_list must be nonempty and strictly ascending")
+    check_least(D=(D, 2))
+    _check_t_list(t_list)
     alpha = solve_alpha(D, _ALPHA_TOL)
     limit = float(limit_constant("two_excursions_D", D).midpoint())
     wanted = set(t_list)
@@ -326,12 +326,7 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
     geodesics, the D-low-lying ones, those with 2n depth-1 excursions for
     n = 1..n_max, and those with two depth-D excursions; exact counts next
     to their asymptotic approximations."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_least(t=(t, 1), D=(D, 2), n_max=(n_max, 1))
     alpha_mid = solve_alpha(D, _ALPHA_TOL).midpoint()
     d_mid = coefficient_d(D, _ALPHA_TOL).midpoint()
     limit_mid = limit_constant("two_excursions_D", D).midpoint()
@@ -370,18 +365,10 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
 # range, to pass on, so it is rejected by name.
 
 
-def _check_least(**sizes: tuple[int, int]) -> None:
-    """Raise ValueError naming the first size below its least value; each
-    keyword maps a parameter name to (value, least)."""
-    for name, (value, least) in sizes.items():
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 def suite_bijection(t_max: int = 14) -> VerificationReport:
     """Normal forms at every t <= t_max pair up two-to-one under cyclic
     conjugacy into 2^{t-1} classes."""
-    _check_least(t_max=(t_max, 1))
+    check_least(t_max=(t_max, 1))
     if t_max > CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
     checks = []
@@ -402,7 +389,7 @@ def suite_partition(
     match the tuple-space oracle cell by cell for t <= oracle_max_t: the
     point rows of excursion_census and the kernel's rows, one pass of
     census_rows per D."""
-    _check_least(t_max=(t_max, 1), d_max=(d_max, 1), oracle_max_t=(oracle_max_t, 1))
+    check_least(t_max=(t_max, 1), d_max=(d_max, 1), oracle_max_t=(oracle_max_t, 1))
     checks = []
     for D in range(1, d_max + 1):
         for t, kernel_row in census_rows(1, t_max, D):
@@ -427,7 +414,7 @@ def suite_partition(
 
 def suite_closed_form(t_max: int = 500, d_max: int = 12) -> VerificationReport:
     """rnd(d_D alpha_D^t) equals the exact bounded count everywhere."""
-    _check_least(t_max=(t_max, 0), d_max=(d_max, 2))
+    check_least(t_max=(t_max, 0), d_max=(d_max, 2))
     checks = []
     for D in range(2, d_max + 1):
         mismatches = sum(
@@ -445,7 +432,7 @@ def suite_double_sum(
     the closed-form estimates sandwich it.  The census and the double sums
     are each read one column per D; a t where two columns do not line up
     counts as a mismatch, or a violation."""
-    _check_least(
+    check_least(
         t_max=(t_max, 1), d_max=(d_max, 2),
         bounds_t_max=(bounds_t_max, 1), bounds_d_max=(bounds_d_max, 2),
     )
@@ -492,7 +479,8 @@ def suite_thm32(
     converging to 1/(2n)!.  The exact sweep compares each kernel row with
     the even entries of the binomial row of t; a row of the wrong length
     counts its missing or extra cells as mismatches."""
-    _check_least(exact_t_max=(exact_t_max, 1))
+    check_least(exact_t_max=(exact_t_max, 1))
+    _check_t_list(t_list)
     checks = []
     mismatches = 0
     for t, row in census_rows(1, exact_t_max, 1):
@@ -541,7 +529,12 @@ def suite_lemma33(
 ) -> VerificationReport:
     """The dominant term tracks its t alpha^t asymptote and the two cross
     terms stay bounded: their fitted drift over the tail is zero within
-    noise."""
+    noise.  The reference t_ref lies in 1..t_max, and t_max is at least
+    2D, so that the tail t > t_max // 2 starts where the cross terms are
+    nonzero (t > D)."""
+    check_least(D=(D, 2), t_ref=(t_ref, 1), t_max=(t_max, 2 * D))
+    if t_ref > t_max:
+        raise ValueError(f"t_ref must be <= t_max = {t_max}, got {t_ref}")
     rep = excursion_term_report(D, t_max)
     checks = []
     ratio_ref = rep.rows[t_ref - 1][1]
@@ -570,7 +563,7 @@ def suite_lemma33(
 def suite_matrices(t_max: int = 12) -> VerificationReport:
     """Generator relations, parabolicity of ab, and hyperbolicity plus the
     involution factorization of every normal form."""
-    _check_least(t_max=(t_max, 1))
+    check_least(t_max=(t_max, 1))
     from .matrices import (
         GEN_A, GEN_B, PSL2Element, classify, evaluate, factors_through_involution,
     )

@@ -7,11 +7,12 @@ formats so they round-trip losslessly; floating-point fields carry an
 explicit digits-of-precision companion field.  Output is byte-identical
 across runs with the same arguments.  Each subcommand declares the least
 value of each of its integer flags next to its arguments, and
-_check_flags checks those and the rules that tie flags together before
-any output is opened, naming the flag in its message; no command checks a
-flag itself.  Commands hand records to the
-Emitter in blocks: a census row is one block, its t, D and source shared
-by every record and its n and count one column each.  One pass over a
+_check_flags checks those, by the size check every library entry point
+uses, and the rules that tie flags together before any output is opened,
+naming the flag in its message; no command checks a flag itself.
+Commands hand records to the Emitter in blocks: a census row is one
+block, its t, D and source shared by every record and its n and count one
+column each.  One pass over a
 block's keys encodes its shared values into a record template, and the
 block is written in slices of a fixed number of records, each encoded
 column-wise as one string.  Json-lines and csv records are written as
@@ -36,6 +37,7 @@ from fractions import Fraction
 from itertools import islice, repeat
 from typing import Optional
 
+from ._contract import check_least
 from .census import DEFAULT_ORACLE_CAP, SUITES, table1
 from .compositions import census_column, census_row, census_rows, enumerate_compositions
 from .spectral import (
@@ -422,10 +424,8 @@ def _check_flags(args) -> None:
     args: first an integer flag below the least value its subcommand
     declares, then a rule that ties flags together.  Parses --tolerance into a
     Fraction in place."""
-    for dest, least in args.least.items():
-        value = getattr(args, dest)
-        if value is not None and value < least:
-            raise ValueError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
+    check_least(**{f"--{dest.replace('_', '-')}": (getattr(args, dest), least)
+                   for dest, least in args.least.items()})
     if args.command in ("count", "bounds"):
         if args.t is None and args.t_max is None:
             raise ValueError(f"{args.command} needs --t or --t-max")

@@ -33,7 +33,7 @@ read in five ways, none of which keeps a table:
   (count_exact_excursions), O(t) steps for any n;
 * y = 0: column n = 0 is the bounded count (count_bounded).
 
-The positional double sum (``product_at``, ``two_excursion_sum``,
+The positional double sum (``two_excursion_sum``,
 ``two_excursion_column``) is the independent route the kernel is checked
 against; it builds the bounded counts it needs by their D-term sum, once
 per call: a column of double sums shares them across its t-range.
@@ -49,11 +49,8 @@ from collections import deque
 from itertools import accumulate, islice, zip_longest
 from typing import Iterator, Optional
 
+from ._contract import check_least
 from .words import Composition
-
-
-class RangeError(ValueError):
-    """A (k, r) pair outside the admissible range of the product formula."""
 
 
 def count_all(t: int) -> int:
@@ -63,16 +60,8 @@ def count_all(t: int) -> int:
     >>> [count_all(t) for t in range(5)]
     [1, 1, 2, 4, 8]
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_least(t=(t, 0))
     return 1 if t == 0 else 1 << (t - 1)
-
-
-def _check_args(t: int, D: int) -> None:
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
 
 
 def _rows(D: int) -> Iterator[list[int]]:
@@ -118,7 +107,7 @@ def census_rows(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, list[int]]]
     >>> [row for _, row in census_rows(3, 5, 2)]
     [[3, 1], [5, 3], [8, 8]]
     """
-    _check_args(t_lo, D)
+    check_least(t_lo=(t_lo, 0), D=(D, 1))
     rows = islice(_rows(D), t_lo, max(t_lo, t_hi + 1))
     return ((t, list(row)) for t, row in enumerate(rows, t_lo))
 
@@ -145,7 +134,7 @@ def census_row(t: int, D: int) -> list[int]:
     >>> census_row(0, 3)
     [1]
     """
-    _check_args(t, D)
+    check_least(t=(t, 0), D=(D, 1))
     if t == 0:
         return [1]
     J = t // (D + 1)
@@ -179,9 +168,7 @@ def census_column(t_lo: int, t_hi: int, n: int, D: int) -> Iterator[tuple[int, i
     >>> list(census_column(0, 3, 2, 1))
     [(0, 0), (1, 0), (2, 0), (3, 0)]
     """
-    _check_args(t_lo, D)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_least(t_lo=(t_lo, 0), n=(n, 0), D=(D, 1))
     return _column(t_lo, t_hi, n, D)
 
 
@@ -224,14 +211,14 @@ def count_exact_excursions(t: int, n: int, D: int) -> int:
     >>> count_exact_excursions(4, 0, 2) == count_bounded(4, 2)
     True
     """
-    ((_, count),) = census_column(t, t, n, D)
+    check_least(t=(t, 0), n=(n, 0), D=(D, 1))
+    ((_, count),) = _column(t, t, n, D)
     return count
 
 
 def binomial(t: int, k: int) -> int:
     """Exact binomial coefficient, 0 when k > t."""
-    if t < 0 or k < 0:
-        raise ValueError(f"arguments must be >= 0, got ({t}, {k})")
+    check_least(t=(t, 0), k=(k, 0))
     return math.comb(t, k)
 
 
@@ -244,27 +231,12 @@ def _bounded_counts(D: int, upto: int) -> list[int]:
     return row
 
 
-def product_at(t: int, D: int, k: int, r: int) -> int:
-    """Compositions of t whose unique part bigger than D equals r and
-    starts at position k of the underlying tuple.
-
-    The positions before the big part form a bounded composition of k-1
-    and the positions after it one of t-k-r+1, so the count is the product
-    |C_{k-1,D}| * |C_{t-k-r+1,D}|.
-    """
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
-    if r < D + 1:
-        raise RangeError(f"r must be >= D+1 = {D + 1}, got {r}")
-    if not 1 <= k <= t - r + 1:
-        raise RangeError(f"k must satisfy 1 <= k <= t-r+1 = {t - r + 1}, got {k}")
-    row = _bounded_counts(D, max(k - 1, t - k - r + 1))
-    return row[k - 1] * row[t - k - r + 1]
-
-
 def two_excursion_sum(t: int, D: int) -> int:
-    """Sum of product_at(t, D, k, r) over all admissible positions k and
-    sizes r; equals count_exact_excursions(t, 1, D).
+    """Compositions of t with one part bigger than D, by the positional
+    double sum: a part r > D at position k of the underlying tuple leaves a
+    bounded composition of k-1 before it and one of t-k-r+1 after it, so
+    the (k, r) term is |C_{k-1,D}| * |C_{t-k-r+1,D}|.  Equals
+    count_exact_excursions(t, 1, D).
 
     With a_i = |C_{i,D}|, A_j = a_0 + ... + a_j and s = t - D - 1,
     grouping the (k, r) grid by i = k - 1 turns the double sum into
@@ -278,7 +250,8 @@ def two_excursion_sum(t: int, D: int) -> int:
     >>> two_excursion_sum(2, 2)
     0
     """
-    ((_, total),) = two_excursion_column(t, t, D)
+    check_least(t=(t, 1), D=(D, 1))
+    ((_, total),) = _double_sums(t, t, D)
     return total
 
 
@@ -293,10 +266,7 @@ def two_excursion_column(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, in
     >>> list(two_excursion_column(3, 6, 2))
     [(3, 1), (4, 3), (5, 8), (6, 18)]
     """
-    if t_lo < 1:
-        raise ValueError(f"t must be >= 1, got {t_lo}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
+    check_least(t_lo=(t_lo, 1), D=(D, 1))
     return _double_sums(t_lo, t_hi, D)
 
 
@@ -332,14 +302,9 @@ def enumerate_compositions(
     positions j+1 and j+2 of the underlying tuple (equivalently descending
     cut-point bitmask).  For t = 3 this gives (1,1,1), (2,1), (1,2), (3).
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    check_least(t=(t, 0), n=(n, 0), D=(D, 1))
     if (n is None) != (D is None):
         raise ValueError("filter needs both n and D or neither")
-    if n is not None and n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if D is not None and D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
     if t == 0:
         if n is None or n == 0:
             yield Composition(())

@@ -44,6 +44,8 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
+from ._contract import check_least
+
 RationalLike = Union[int, Fraction]
 _T = TypeVar("_T")
 
@@ -149,8 +151,7 @@ class AlphaEnclosure:
     hi: Fraction
 
     def __post_init__(self):
-        if self.D < 2:
-            raise ValueError(f"D must be >= 2, got {self.D}")
+        check_least(D=(self.D, 2))
         if not Fraction(2) - Fraction(1, 1 << (self.D - 1)) <= self.lo < self.hi < 2:
             raise ValueError("enclosure violates the a-priori bracket")
         lo, hi = (
@@ -230,10 +231,7 @@ def _bracket(D: int, steps: int) -> tuple[int, int]:
     certified by the sign of p_D at both ends: a pure function of
     (D, steps), so determinism is exact, not just up to tolerance.
     """
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
-    if steps < 1:
-        raise ValueError("at least one bisection step is required")
+    check_least(D=(D, 2), steps=(steps, 1))
     k = D - 1 + steps
     hi = _newton_above(D, k)
     if not _scaled_poly_value(D, hi, 1 << k) > 0:
@@ -299,8 +297,7 @@ def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosu
     >>> a.lo < golden < a.hi and a.hi - a.lo <= Fraction(1, 10**9)
     True
     """
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
+    check_least(D=(D, 2))
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -333,8 +330,7 @@ def coefficient_d(D: int, tol: RationalLike = Fraction(1, 10**12)) -> ConstantEn
     >>> round(float(d.midpoint()), 9)
     0.723606798
     """
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
+    check_least(D=(D, 2))
     return _narrowed(D, tol, lambda alpha, d: d)
 
 
@@ -378,10 +374,7 @@ def closed_form_count(t: int, D: int) -> int:
     >>> closed_form_count(0, 2)
     1
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
+    check_least(t=(t, 0), D=(D, 2))
 
     def rounded(alpha: _Dyadic, d: _Dyadic) -> Optional[int]:
         x = d * alpha**t
@@ -408,13 +401,11 @@ def limit_constant(
     """
     if kind == "depth_one_2n":
         n = parameter
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
+        check_least(n=(n, 0))
         return ConstantEnclosure(*[Fraction(1, math.factorial(2 * n))] * 2)
     if kind == "two_excursions_D":
         D = parameter
-        if D < 2:
-            raise ValueError(f"D must be >= 2, got {D}")
+        check_least(D=(D, 2))
         return _narrowed(D, tol, lambda alpha, d: d * d / (alpha**D * (alpha - 1)))
     raise ValueError(f"unknown limit kind {kind!r}")
 
@@ -451,7 +442,8 @@ def bounds_two_excursions(t: int, D: int) -> tuple[Fraction, Fraction]:
     as interval enclosures; the returned pair is (lower.lo, upper.hi), so
     the sandwich survives the rounding of the evaluation itself.
     """
-    ((_, lower, upper),) = bounds_two_excursions_range(t, t, D)
+    check_least(t=(t, 1), D=(D, 2))
+    ((_, lower, upper),) = _bounds_range(t, t, D)
     return lower, upper
 
 
@@ -466,10 +458,7 @@ def bounds_two_excursions_range(
     memory lasts only as long as the request.  The arguments are checked
     at the call, before any bound is read.
     """
-    if t_lo < 1:
-        raise ValueError(f"t must be >= 1, got {t_lo}")
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
+    check_least(t_lo=(t_lo, 1), D=(D, 2))
     return _bounds_range(t_lo, t_hi, D)
 
 
@@ -529,10 +518,7 @@ def excursion_term_report(D: int, t_max: int) -> TermReport:
     """Tabulate the three term ratios for t = 1..t_max at 64-digit working
     precision.  Diagnostic only: no certification, unlike everything above.
     """
-    if D < 2:
-        raise ValueError(f"D must be >= 2, got {D}")
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    check_least(D=(D, 2), t_max=(t_max, 1))
     with localcontext(_REPORT_CONTEXT):
         enc = solve_alpha(D, Fraction(1, 10**(REPORT_DPS + 4)))
         alpha = Decimal(enc.lo.numerator) / enc.lo.denominator

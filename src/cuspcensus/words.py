@@ -25,6 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+from ._contract import check_least
+
 ALPHABET = ("a", "b", "B")
 
 _SYLLABLES = frozenset(ALPHABET)
@@ -240,8 +242,7 @@ def excursion_parts(c: Composition, depth: int) -> int:
     than ``depth`` makes exactly ``2n`` excursions past the depth-``depth``
     thick part.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_least(depth=(depth, 1))
     return sum(1 for p in c.parts if p > depth)
 
 

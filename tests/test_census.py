@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,7 +16,24 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuspcensus import census
+from cuspcensus import (
+    AlphaEnclosure,
+    bounds_two_excursions,
+    bounds_two_excursions_range,
+    census,
+    closed_form_count,
+    coefficient_d,
+    count_all,
+    count_bounded,
+    count_exact_excursions,
+    enumerate_compositions,
+    excursion_parts,
+    excursion_term_report,
+    limit_constant,
+    solve_alpha,
+    two_excursion_column,
+    two_excursion_sum,
+)
 from cuspcensus.census import (
     SUITES,
     CapExceeded,
@@ -40,8 +58,7 @@ from cuspcensus.census import (
     verify_theorem_two_excursions,
 )
 from cuspcensus.cli import main
-from cuspcensus.compositions import count_all, count_bounded, count_exact_excursions
-from cuspcensus.words import EpsilonSeq, GroupWord, projectivize, run_sequence
+from cuspcensus.words import Composition, EpsilonSeq, GroupWord, projectivize, run_sequence
 
 
 # -- check plumbing ------------------------------------------------------------
@@ -322,8 +339,6 @@ def test_conjugacy_class_sizes():
     with pytest.raises(CapExceeded):
         conjugacy_class_sizes(15)
     with pytest.raises(CapExceeded):
-        conjugacy_class_sizes(0)
-    with pytest.raises(CapExceeded):
         suite_bijection(15)
 
 
@@ -425,7 +440,15 @@ def test_suites_pass_at_reduced_scales():
     assert suite_matrices(t_max=6).passed
 
 
-@pytest.mark.parametrize("suite, kwargs, name", [
+def enumerated(**kwargs):
+    # enumerate_compositions is a generator: it checks when iterated
+    return list(enumerate_compositions(**kwargs))
+
+
+# every callable of cuspcensus.__all__ and SUITES that takes a size, each
+# size just below its least value; never ZeroDivisionError, IndexError or
+# decimal.InvalidOperation, which are not ValueErrors
+@pytest.mark.parametrize("entry, kwargs, name", [
     (suite_bijection, dict(t_max=0), "t_max"),
     (suite_partition, dict(t_max=0), "t_max"),
     (suite_partition, dict(d_max=0), "d_max"),
@@ -439,10 +462,60 @@ def test_suites_pass_at_reduced_scales():
     (suite_thm32, dict(exact_t_max=0), "exact_t_max"),
     (suite_thm34, dict(d_list=()), "d_list"),
     (suite_matrices, dict(t_max=0), "t_max"),
+    (suite_thm32, dict(t_list=(0,)), "t_list[0]"),
+    (suite_thm34, dict(t_list=(0,)), "t_list[0]"),
+    (suite_thm34, dict(d_list=(1,)), "D"),
+    (suite_lemma33, dict(D=1), "D"),
+    (suite_lemma33, dict(t_ref=0), "t_ref"),
+    (suite_lemma33, dict(t_ref=50, t_max=40), "t_ref"),
+    (suite_lemma33, dict(t_ref=1, t_max=3), "t_max"),
+    (suite_lemma33, dict(D=3, t_ref=1, t_max=5), "t_max"),
+    (suite_lemma33, dict(D=5, t_ref=1, t_max=9), "t_max"),
+    (excursion_census, dict(t=0, D=1), "t"),
+    (excursion_census, dict(t=3, D=0), "D"),
+    (oracle_census, dict(t=0, D=1), "t"),
+    (oracle_census, dict(t=3, D=0), "D"),
+    (conjugacy_class_sizes, dict(t=0), "t"),
+    (table1, dict(t=0, D=2), "t"),
+    (table1, dict(t=3, D=1), "D"),
+    (table1, dict(t=3, D=2, n_max=0), "n_max"),
+    (verify_theorem_2n_depth1, dict(n=-1, t_list=(10,)), "n"),
+    (verify_theorem_2n_depth1, dict(n=1, t_list=(0,)), "t_list[0]"),
+    (verify_theorem_2n_depth1, dict(n=1, t_list=(3, 2)), "t_list"),
+    (verify_theorem_two_excursions, dict(D=1), "D"),
+    (verify_theorem_two_excursions, dict(D=2, t_list=(0,)), "t_list[0]"),
+    (verify_theorem_two_excursions, dict(D=2, t_list=()), "t_list"),
+    (count_all, dict(t=-1), "t"),
+    (count_bounded, dict(t=-1, D=1), "t"),
+    (count_bounded, dict(t=3, D=0), "D"),
+    (count_exact_excursions, dict(t=-1, n=0, D=1), "t"),
+    (count_exact_excursions, dict(t=3, n=-1, D=1), "n"),
+    (count_exact_excursions, dict(t=3, n=0, D=0), "D"),
+    (enumerated, dict(t=-1), "t"),
+    (enumerated, dict(t=3, n=-1, D=1), "n"),
+    (enumerated, dict(t=3, n=0, D=0), "D"),
+    (two_excursion_column, dict(t_lo=0, t_hi=3, D=1), "t_lo"),
+    (two_excursion_column, dict(t_lo=1, t_hi=3, D=0), "D"),
+    (two_excursion_sum, dict(t=0, D=1), "t"),
+    (two_excursion_sum, dict(t=3, D=0), "D"),
+    (excursion_parts, dict(c=Composition((1, 2)), depth=0), "depth"),
+    (AlphaEnclosure, dict(D=1, lo=Fraction(1), hi=Fraction(2)), "D"),
+    (solve_alpha, dict(D=1), "D"),
+    (coefficient_d, dict(D=1), "D"),
+    (limit_constant, dict(kind="two_excursions_D", parameter=1), "D"),
+    (limit_constant, dict(kind="depth_one_2n", parameter=-1), "n"),
+    (closed_form_count, dict(t=-1, D=2), "t"),
+    (closed_form_count, dict(t=3, D=1), "D"),
+    (bounds_two_excursions, dict(t=0, D=2), "t"),
+    (bounds_two_excursions, dict(t=3, D=1), "D"),
+    (bounds_two_excursions_range, dict(t_lo=0, t_hi=3, D=2), "t_lo"),
+    (bounds_two_excursions_range, dict(t_lo=1, t_hi=3, D=1), "D"),
+    (excursion_term_report, dict(D=1, t_max=5), "D"),
+    (excursion_term_report, dict(D=2, t_max=0), "t_max"),
 ])
-def test_suites_reject_a_size_that_leaves_nothing_to_check(suite, kwargs, name):
-    with pytest.raises(ValueError, match=rf"^{name} must be"):
-        suite(**kwargs)
+def test_suites_reject_a_size_that_leaves_nothing_to_check(entry, kwargs, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
+        entry(**kwargs)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

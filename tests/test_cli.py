@@ -7,13 +7,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cuspcensus.census import SUITES
 from cuspcensus.cli import Emitter, main
 
 
@@ -284,6 +287,73 @@ def test_usage_errors_keep_the_out_file(tmp_path):
         path.write_bytes(b"precious\n")
         assert run([*argv, "--out", str(path)])[0] == 2, argv
         assert path.read_bytes() == b"precious\n", argv
+
+
+_INTS = st.integers(-2, 12).map(str)
+# each subcommand's flags and the text each takes
+_FLAGS = {
+    "count": {"--t": _INTS, "--t-max": _INTS, "--D": _INTS, "--n": _INTS},
+    "alpha": {"--D": _INTS},
+    "constants": {"--D": _INTS, "--n": _INTS},
+    "table1": {"--t": _INTS, "--D": _INTS, "--n": _INTS},
+    "bounds": {"--t": _INTS, "--t-max": _INTS, "--D": _INTS},
+    "enumerate": {"--t": _INTS, "--n": _INTS, "--D": _INTS},
+    "verify": {
+        "--suite": st.sampled_from(["all", *SUITES]),
+        "--oracle-max-t": _INTS,
+        "--tolerance": st.sampled_from(["1/1000", "0", "0.02", "junk", "1/0", "-1", "-1/2", ""]),
+    },
+}
+_COMMON = {"--format": st.sampled_from(["table", "json-lines", "csv"]), "--digits": _INTS}
+# mostly true, so that most lines get past the parser to the command's checks
+_MOSTLY = (True,) * 7 + (False,)
+# one rejected flag, last on the line, so that verify runs no suite
+_VERIFY_REJECTED = st.one_of(
+    st.tuples(st.sampled_from(["--oracle-max-t", "--digits"]), st.integers(-2, 0).map(str)),
+    st.tuples(st.just("--tolerance"), st.sampled_from(["junk", "1/0", "-1", "-1/2", ""])),
+    st.tuples(st.sampled_from(["--suite", "--oracle-max-t", "--tolerance", "--digits"])),
+    st.just(("--suite", "nope")),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command line of one subcommand: its flags, each given a value or
+    left out, in any order, now and then one of them without its value."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    words = draw(st.permutations([
+        [flag, draw(values)] for flag, values in {**_FLAGS[command], **_COMMON}.items()
+        if draw(st.sampled_from(_MOSTLY))
+    ]))
+    if words and not draw(st.sampled_from(_MOSTLY)):
+        words[0] = words[0][:1]
+    argv = [command, *(word for flag in words for word in flag)]
+    if command == "verify":
+        argv += draw(_VERIFY_REJECTED)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv(), with_out=st.sampled_from(_MOSTLY))
+def test_every_command_line_keeps_the_exit_contract(argv, with_out):
+    # 0 ran, 1 a suite failed, 2 usage or input error: never a traceback,
+    # and an input error names itself last on stderr and leaves --out alone
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kept.txt"
+        path.write_bytes(b"precious\n")
+        if with_out:
+            argv = [*argv, "--out", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            assert "error:" in err.getvalue().splitlines()[-1], argv
+            assert path.read_bytes() == b"precious\n", argv
 
 
 def test_precision_exhausted_exits_two(monkeypatch):

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cuspcensus.census import excursion_census
 from cuspcensus.compositions import (
-    RangeError,
     binomial,
     census_column,
     census_row,
@@ -20,7 +19,6 @@ from cuspcensus.compositions import (
     count_bounded,
     count_exact_excursions,
     enumerate_compositions,
-    product_at,
     two_excursion_column,
     two_excursion_sum,
 )
@@ -164,19 +162,18 @@ def test_binomial_pascal_oracle():
 # -- product_at ------------------------------------------------------------------
 
 
+def product_at(t, D, k, r):
+    """The positional reference of the double sum: compositions of t whose
+    one part bigger than D equals r and starts at position k of the
+    underlying tuple.  The parts before it form a bounded composition of
+    k-1 and those after it one of t-k-r+1."""
+    return count_bounded(k - 1, D) * count_bounded(t - k - r + 1, D)
+
+
 def test_product_at_frozen():
     assert product_at(5, 2, 1, 3) == 2  # (3,2) (3,1,1)
     assert product_at(5, 2, 2, 3) == 1  # (1,3,1)
     assert product_at(5, 2, 3, 3) == 2  # (2,3) (1,1,3)
-
-
-def test_product_at_range_errors():
-    with pytest.raises(RangeError):
-        product_at(5, 2, 1, 2)  # r <= D
-    with pytest.raises(RangeError):
-        product_at(5, 2, 0, 3)  # k < 1
-    with pytest.raises(RangeError):
-        product_at(5, 2, 4, 3)  # k > t-r+1
 
 
 def test_product_at_matches_positional_enumeration():
