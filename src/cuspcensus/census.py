@@ -4,7 +4,7 @@ Ties the other modules together: the combinatorial counts (compositions),
 the brute-force sign-mask oracle, the word-level conjugacy grouping
 (words) and the certified constants (spectral) meet here in cross-checked
 census tables and tolerance-based convergence reports, whose ratios are
-formed in stdlib ``decimal``.
+each one correctly rounded division of exact integers.
 
 Counts are produced by two unrelated routes and compared cell by cell:
 
@@ -60,7 +60,7 @@ DEFAULT_ORACLE_CAP = 18
 #: largest t for which normal forms are grouped by cyclic conjugacy
 CONJUGACY_CAP = 14
 
-#: decimal digits used when forming large-count ratios in log space
+#: decimal digits of table1's approximations, which can leave the float range
 RATIO_DPS = 50
 
 # with the widest exponent range, so that no large t overflows
@@ -216,10 +216,9 @@ def _to_decimal(x: Fraction) -> Decimal:
 
 
 def _ratio_to_limit(count: int, t: int, power_base: Fraction) -> float:
-    """count/(t * base^t) in log space, at the working precision of the
-    current decimal context; exact inputs, one exponential at the end."""
-    ln = Decimal(count).ln() - t * _to_decimal(power_base).ln() - Decimal(t).ln()
-    return float(ln.exp())
+    """count/(t * base^t), correctly rounded: for base = p/q it is one
+    division of integers, count q^t / (t p^t)."""
+    return count * power_base.denominator**t / (t * power_base.numerator**t)
 
 
 def _check_t_list(t_list: Sequence[int]) -> None:
@@ -280,14 +279,11 @@ def verify_theorem_two_excursions(
     alpha = solve_alpha(D, _ALPHA_TOL)
     limit = float(limit_constant("two_excursions_D", D).midpoint())
     wanted = set(t_list)
-    errors = []
-    with localcontext(_RATIO_CONTEXT):
-        # one walk of the column serves every t of t_list
-        for t, count in census_column(t_list[0], t_list[-1], 1, D):
-            if t not in wanted:
-                continue
-            ratio = _ratio_to_limit(count, t, alpha.midpoint())
-            errors.append((t, abs(ratio - limit) / limit))
+    # one walk of the column serves every t of t_list
+    errors = [
+        (t, abs(_ratio_to_limit(count, t, alpha.midpoint()) - limit) / limit)
+        for t, count in census_column(t_list[0], t_list[-1], 1, D) if t in wanted
+    ]
     checks = [
         _below("error_decreases", (D, t1, t2), e2, e1)
         for (t1, e1), (t2, e2) in zip(errors, errors[1:])

@@ -452,8 +452,15 @@ def _check_flags(args) -> None:
             raise ValueError(f"--tolerance must be >= 0, got {text}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors in one line, as every input error; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspcensus",
         description="Exact census of reciprocal geodesics on the modular "
         "surface, by word length and cusp-excursion depth.",

@@ -295,16 +295,21 @@ def _composition_from_glue(t: int, glue: int) -> Composition:
 def enumerate_compositions(
     t: int, n: Optional[int] = None, D: Optional[int] = None
 ) -> Iterator[Composition]:
-    """Yield every composition of t exactly once, optionally only those
-    with exactly n parts bigger than D.
+    """Every composition of t exactly once, optionally only those with
+    exactly n parts bigger than D.
 
     Order is fixed: ascending glue bitmask, where bit j of the mask merges
     positions j+1 and j+2 of the underlying tuple (equivalently descending
     cut-point bitmask).  For t = 3 this gives (1,1,1), (2,1), (1,2), (3).
+    The arguments are checked at the call.
     """
     check_least(t=(t, 0), n=(n, 0), D=(D, 1))
     if (n is None) != (D is None):
         raise ValueError("filter needs both n and D or neither")
+    return _compositions(t, n, D)
+
+
+def _compositions(t: int, n: Optional[int], D: Optional[int]) -> Iterator[Composition]:
     if t == 0:
         if n is None or n == 0:
             yield Composition(())

@@ -25,10 +25,10 @@ The only state kept between calls is a fixed number of recent
 enclosures of alpha_D and d_D.  No floating point enters any certified
 path.
 
-The one exception is the diagnostic term report at the bottom, which
-tracks the three sums controlling the two-excursion asymptotics; it runs
-in stdlib ``decimal`` at a documented 64-digit working precision and
-certifies nothing.
+The diagnostic term report at the bottom tracks the three sums behind
+the two-excursion asymptotics on the same intervals as the bounds, and
+certifies nothing: each of its floats is one correctly rounded division
+of two interval midpoints.
 
 D = 1 is excluded throughout: p_1(z) = z - 1 forces alpha_1 = 1 and
 d_1 = 0, so the closed form degenerates (|C_{t,1}| = 1, not rnd(0)).
@@ -40,7 +40,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
@@ -48,12 +47,6 @@ from ._contract import check_least
 
 RationalLike = Union[int, Fraction]
 _T = TypeVar("_T")
-
-#: working precision, decimal digits, for the diagnostic term report
-REPORT_DPS = 64
-
-# with the widest exponent range, so that no large t overflows
-_REPORT_CONTEXT = Context(prec=REPORT_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 # guard bits past the bisection depth (closed forms) or the bracket's grid
 _GUARD_BITS = 64
@@ -462,6 +455,18 @@ def bounds_two_excursions_range(
     return _bounds_range(t_lo, t_hi, D)
 
 
+def _excursion_terms(alpha: _Dyadic, d: _Dyadic, n_terms: int, readings: tuple) -> tuple:
+    """The three sums of the two-excursion count at N = n_terms, from the
+    lower and upper readings of _geometric_sums at N; sums run over u = 0..N:
+
+        s1 = d^2 sum (u+1) alpha^u            (the dominant term)
+        s2 = d (alpha G(N) - (N+1))/(alpha-1) (left-of-run geometric part)
+        s3 = d GG(N)                          (right-of-run geometric part)
+    """
+    g, w, gg = (_Dyadic(low, high, alpha.k) for low, high in zip(*readings))
+    return d * d * w, d / (alpha - 1) * (alpha * g - (n_terms + 1)), d * gg
+
+
 def _bounds_range(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, Fraction, Fraction]]:
     depth = None
     for t in range(t_lo, t_hi + 1):
@@ -473,28 +478,18 @@ def _bounds_range(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, Fraction,
             depth = _quantized_steps(t)
             k = depth + _GUARD_BITS
             alpha, d = _enclosures(D, depth, k)
-            sums = zip(
+            sums = enumerate(zip(
                 _geometric_sums(alpha.lo, k, False), _geometric_sums(alpha.hi, k, True)
-            )
+            ))
             summed = -1  # the largest N read from sums
-            d_squared, d_over_gap = d * d, d / (alpha - 1)
         while summed < n_terms:
-            sums_lo, sums_hi = next(sums)
-            summed += 1
-        g, w, gg = (_Dyadic(low, high, k) for low, high in zip(sums_lo, sums_hi))
-        # with N = t - D - 1 and sums over u = 0..N:
-        #   s1 = d^2 sum (u+1) alpha^u            (the dominant term)
-        #   s2 = d (alpha G(N) - (N+1))/(alpha-1) (left-of-run geometric part)
-        #   s3 = d GG(N)                          (right-of-run geometric part)
-        #   s4 = (N+1)(N+2)/8                     (the constant 1/4 per cell)
-        s1 = d_squared * w
-        s2 = d_over_gap * (alpha * g - (n_terms + 1))
-        s3 = d * gg
-        s4 = (n_terms + 1) * (n_terms + 2) << (k - 3)  # exact, over 2^k
-        s4 = _Dyadic(s4, s4, k)
+            summed, readings = next(sums)
+        s1, s2, s3 = _excursion_terms(alpha, d, n_terms, readings)
         half = (s2 + s3) >> 1
-        lower, upper = s1 - half + s4, s1 + half + s4
-        yield t, Fraction(lower.lo, 1 << k), Fraction(upper.hi, 1 << k)
+        # s4 = (N+1)(N+2)/8, the constant 1/4 per cell, exact over 2^k
+        s4 = (n_terms + 1) * (n_terms + 2) << (k - 3)
+        lower, upper = (s1 - half).lo + s4, (s1 + half).hi + s4
+        yield t, Fraction(lower, 1 << k), Fraction(upper, 1 << k)
 
 
 @dataclass(frozen=True)
@@ -514,40 +509,35 @@ class TermReport:
     rows: tuple[tuple[int, float, float, float], ...]
 
 
+_REPORT_STEPS = 128  # bisection depth of the term report
+
+
 def excursion_term_report(D: int, t_max: int) -> TermReport:
-    """Tabulate the three term ratios for t = 1..t_max at 64-digit working
-    precision.  Diagnostic only: no certification, unlike everything above.
+    """Tabulate the three term ratios for t = 1..t_max; diagnostic only.
+
+    The terms are those of _excursion_terms, and alpha^t is a running
+    product, on the enclosures of alpha_D and d_D after 128 bisection
+    steps, over 2^(128 + 64).
+    Each float is one correctly rounded division of interval midpoints.
+    Relative widths stay below about t 2^-127, so it is the double nearest
+    the true ratio unless that ratio lies that close to a rounding tie.
+    The integers grow like alpha^t, so the cost is quadratic in t_max: at
+    D = 2 on one Xeon core, 0.06 s at t_max = 2000 and 6 s at 50 000.
     """
     check_least(D=(D, 2), t_max=(t_max, 1))
-    with localcontext(_REPORT_CONTEXT):
-        enc = solve_alpha(D, Fraction(1, 10**(REPORT_DPS + 4)))
-        alpha = Decimal(enc.lo.numerator) / enc.lo.denominator
-        denc = coefficient_d(D, Fraction(1, 10**(REPORT_DPS + 4)))
-        d = Decimal(denc.lo.numerator) / denc.lo.denominator
-        limit = d * d / (alpha**D * (alpha - 1))
-        rows = []
-        alpha_t = alpha  # alpha^t, updated per t
-        g = w = gg = Decimal(0)  # sums up to N = t - D - 1
-        power = 1 / alpha  # alpha^N placeholder before N = 0
-        for t in range(1, t_max + 1):
-            n_terms = t - D - 1
-            if n_terms >= 0:
-                power = power * alpha
-                g = g + power
-                w = w + (n_terms + 1) * power
-                gg = gg + g
-                term1 = d * d * w
-                term2 = d * (alpha * g - (n_terms + 1)) / (alpha - 1)
-                term3 = d * gg
-                rows.append(
-                    (
-                        t,
-                        float(term1 / (t * alpha_t)),
-                        float(term2 / alpha_t),
-                        float(term3 / alpha_t),
-                    )
-                )
-            else:
-                rows.append((t, 0.0, 0.0, 0.0))
-            alpha_t = alpha_t * alpha
-        return TermReport(D, t_max, float(limit), tuple(rows))
+    k = _REPORT_STEPS + _GUARD_BITS
+    alpha, d = _enclosures(D, _REPORT_STEPS, k)
+    limit = d * d / (alpha**D * (alpha - 1))
+    sums = zip(_geometric_sums(alpha.lo, k, False), _geometric_sums(alpha.hi, k, True))
+    rows = []
+    power = alpha  # alpha^t
+    for t in range(1, t_max + 1):
+        if t <= D:  # no admissible run length
+            rows.append((t, 0.0, 0.0, 0.0))
+        else:
+            terms = _excursion_terms(alpha, d, t - D - 1, next(sums))
+            s1, s2, s3 = (term.lo + term.hi for term in terms)
+            scale = power.lo + power.hi
+            rows.append((t, s1 / (t * scale), s2 / scale, s3 / scale))
+        power = power * alpha
+    return TermReport(D, t_max, (limit.lo + limit.hi) / (2 << k), tuple(rows))

@@ -41,6 +41,7 @@ from cuspcensus.census import (
     Check,
     VerificationReport,
     _below,
+    _ratio_to_limit,
     _within,
     conjugacy_class_sizes,
     excursion_census,
@@ -384,6 +385,17 @@ def test_two_excursions_report():
         verify_theorem_two_excursions(1)
 
 
+def test_ratio_to_limit_is_the_nearest_double():
+    # count/(t base^t) is one correctly rounded division, as the float of
+    # the exact rational is
+    for D in (2, 3, 12):
+        base = solve_alpha(D).midpoint()
+        for t in (1, 7, 250, 2000):
+            count = count_exact_excursions(t, 1, D)
+            assert _ratio_to_limit(count, t, base) == float(Fraction(count, t) / base**t)
+    assert _ratio_to_limit(10**30, 3, Fraction(7, 5)) == float(Fraction(10**30, 3) / Fraction(7, 5) ** 3)
+
+
 # -- table rows --------------------------------------------------------------------
 
 
@@ -440,11 +452,6 @@ def test_suites_pass_at_reduced_scales():
     assert suite_matrices(t_max=6).passed
 
 
-def enumerated(**kwargs):
-    # enumerate_compositions is a generator: it checks when iterated
-    return list(enumerate_compositions(**kwargs))
-
-
 # every callable of cuspcensus.__all__ and SUITES that takes a size, each
 # size just below its least value; never ZeroDivisionError, IndexError or
 # decimal.InvalidOperation, which are not ValueErrors
@@ -491,9 +498,9 @@ def enumerated(**kwargs):
     (count_exact_excursions, dict(t=-1, n=0, D=1), "t"),
     (count_exact_excursions, dict(t=3, n=-1, D=1), "n"),
     (count_exact_excursions, dict(t=3, n=0, D=0), "D"),
-    (enumerated, dict(t=-1), "t"),
-    (enumerated, dict(t=3, n=-1, D=1), "n"),
-    (enumerated, dict(t=3, n=0, D=0), "D"),
+    (enumerate_compositions, dict(t=-1), "t"),
+    (enumerate_compositions, dict(t=3, n=-1, D=1), "n"),
+    (enumerate_compositions, dict(t=3, n=0, D=0), "D"),
     (two_excursion_column, dict(t_lo=0, t_hi=3, D=1), "t_lo"),
     (two_excursion_column, dict(t_lo=1, t_hi=3, D=0), "D"),
     (two_excursion_sum, dict(t=0, D=1), "t"),

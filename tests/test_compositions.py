@@ -275,12 +275,12 @@ def test_enumeration_filter_matches_counts():
 
 
 def test_enumeration_filter_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_compositions(4, 1, None))
-    with pytest.raises(ValueError):
-        list(enumerate_compositions(4, None, 2))
-    with pytest.raises(ValueError):
-        list(enumerate_compositions(4, 1, 0))
+    # checked at the call: none of these is iterated
+    for kwargs in (dict(t=4, n=1), dict(t=4, D=2), dict(t=3, n=1)):
+        with pytest.raises(ValueError, match="^filter needs both n and D or neither$"):
+            enumerate_compositions(**kwargs)
+    with pytest.raises(ValueError, match="^D must be >= 1, got 0$"):
+        enumerate_compositions(4, 1, 0)
 
 
 @given(st.integers(1, 60), st.integers(1, 8))

@@ -252,9 +252,8 @@ def test_bracket_equals_bisection(D):
     assert {steps: _bracket(D, steps) for steps in wanted} == expected
 
 
-def test_closed_form_route_does_not_reach_the_dp():
-    # the certified closed form is checked against the DP, so it may not
-    # be computed from it: spectral imports nothing from compositions
+def _spectral_imports():
+    """The modules spectral.py imports, relative ones with their dots."""
     tree = ast.parse((SRC / "cuspcensus" / "spectral.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -263,9 +262,23 @@ def test_closed_form_route_does_not_reach_the_dp():
             imported.update(f".{alias.name}" for alias in node.names if node.level)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def test_closed_form_route_does_not_reach_the_dp():
+    # the certified closed form is checked against the DP, so it may not
+    # be computed from it: spectral imports nothing from compositions
+    imported = _spectral_imports()
     assert not {
         name for name in imported if name.split(".")[-1] == "compositions"
     }, imported
+
+
+def test_spectral_has_one_arithmetic():
+    # the term report runs on the dyadic intervals of the bounds, not on a
+    # second, decimal arithmetic
+    imported = _spectral_imports()
+    assert not {name for name in imported if name.split(".")[0] == "decimal"}, imported
 
 
 def test_bracket_validation():
@@ -496,6 +509,38 @@ def test_term_ratios_two_and_three_agree_and_stay_bounded():
     tail = max(row[2] for row in rep.rows[300:])
     head = max(row[2] for row in rep.rows[:300])
     assert tail <= head * (1 + 1e-9)
+
+
+def _nearest(x):
+    """The double nearest the mpf x."""
+    return float(Fraction(int(x.man)) * Fraction(2) ** int(x.exp))
+
+
+@pytest.mark.parametrize("D, t_max", [(2, 120), (3, 90)])
+def test_term_report_matches_naive_double_sum(D, t_max):
+    # independent route: sum the three terms cell by cell over the
+    # positional double sum in 50-digit floating point, where cell (r, k)
+    # has f1 = d alpha^(k-1) and f2 = d alpha^(t-k-r+1); term1 sums f1 f2,
+    # term2 sums f2 and term3 sums f1.  Rounded to doubles, they equal the
+    # report's rows.
+    rows = excursion_term_report(D, t_max).rows
+    with mpmath.workdps(50):
+        mid = solve_alpha(D, Fraction(1, 10**45)).midpoint()
+        alpha = mpmath.mpf(mid.numerator) / mid.denominator
+        d = (alpha - 1) / (2 + (D + 1) * (alpha - 2))
+        powers = [alpha**j for j in range(t_max + 1)]
+        f = [d * power for power in powers]
+        for t in range(1, t_max + 1):
+            term1 = term2 = term3 = mpmath.mpf(0)
+            for r in range(D + 1, t + 1):
+                for k in range(1, t - r + 2):
+                    f1, f2 = f[k - 1], f[t - k - r + 1]
+                    term1 += f1 * f2
+                    term2 += f2
+                    term3 += f1
+            expected = (t, _nearest(term1 / (t * powers[t])),
+                        _nearest(term2 / powers[t]), _nearest(term3 / powers[t]))
+            assert rows[t - 1] == expected
 
 
 def test_term_report_validation():
