@@ -15,6 +15,8 @@ held as integers lo <= x * 2^k <= hi, and every operation rounds outward.
   bisection steps would reach: m = floor(alpha_D 2^K) is found by integer
   Newton iteration and certified by the signs of the integers
   2^(KD) p_D(m/2^K) < 0 < 2^(KD) p_D((m+1)/2^K), by Horner's rule.
+  At tolerance p/q, solve_alpha takes s = max(1, bitlen(floor((q-1)/p))
+  - D + 2) steps, the least s >= 1 with width 2^-(D+s-2) <= p/q.
 - d_D, d_D * alpha_D^t, the two-excursion limit constant and bounds
   are interval expressions in that bracket, read 64 bits below its
   grid.  ``_refine`` doubles the bisection depth until one is
@@ -23,7 +25,8 @@ held as integers lo <= x * 2^k <= hi, and every operation rounds outward.
 
 The only state kept between calls is a fixed number of recent
 enclosures of alpha_D and d_D.  No floating point enters any certified
-path.
+path, and precision is decided on integers: Fractions are built only
+for returned values.
 
 The diagnostic term report at the bottom tracks the three sums behind
 the two-excursion asymptotics on the same intervals as the bounds, and
@@ -273,13 +276,17 @@ def _refine(
     raise PrecisionExhausted(failure)
 
 
-def _steps_for(D: int, tol: Fraction) -> int:
-    steps = 1
-    width = Fraction(1, 1 << (D - 1))
-    while width > tol:
-        steps += 1
-        width /= 2
-    return steps
+def _tolerance(tol: RationalLike) -> tuple[int, int]:
+    """(p, q) for the tolerance p/q in lowest terms, checked positive."""
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    return tol.numerator, tol.denominator
+
+
+def _steps_for(D: int, p: int, q: int) -> int:
+    """The least s >= 1 bisections with width 2^-(D+s-2) <= p/q."""
+    return max(1, ((q - 1) // p).bit_length() - D + 2)
 
 
 def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosure:
@@ -291,10 +298,7 @@ def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosu
     True
     """
     check_least(D=(D, 2))
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    steps = _steps_for(D, tol)
+    steps = _steps_for(D, *_tolerance(tol))
     lo, hi = _bracket(D, steps)
     unit = 1 << (D - 1 + steps)
     return AlphaEnclosure(D, Fraction(lo, unit), Fraction(hi, unit))
@@ -305,15 +309,13 @@ def _narrowed(
 ) -> ConstantEnclosure:
     """The enclosure of constant(alpha, d), refined from 64 bisection steps
     until its width is at most tol, with no cap on the depth."""
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    p, q = _tolerance(tol)
 
-    def narrow(alpha: _Dyadic, d: _Dyadic) -> Optional[ConstantEnclosure]:
-        enc = constant(alpha, d).enclosure()
-        return enc if enc.width <= tol else None
+    def narrow(alpha: _Dyadic, d: _Dyadic) -> Optional[_Dyadic]:
+        x = constant(alpha, d)
+        return x if (x.hi - x.lo) * q <= p << x.k else None  # width <= p/q
 
-    return _refine(D, 64, D - 1 + _GUARD_BITS, narrow)
+    return _refine(D, 64, D - 1 + _GUARD_BITS, narrow).enclosure()
 
 
 def coefficient_d(D: int, tol: RationalLike = Fraction(1, 10**12)) -> ConstantEnclosure:
@@ -399,8 +401,13 @@ def limit_constant(
     if kind == "two_excursions_D":
         D = parameter
         check_least(D=(D, 2))
-        return _narrowed(D, tol, lambda alpha, d: d * d / (alpha**D * (alpha - 1)))
+        return _narrowed(D, tol, functools.partial(_two_excursion_limit, D))
     raise ValueError(f"unknown limit kind {kind!r}")
+
+
+def _two_excursion_limit(D: int, alpha: _Dyadic, d: _Dyadic) -> _Dyadic:
+    """d_D^2/(alpha_D^D (alpha_D - 1)) on the enclosures alpha and d."""
+    return d * d / (alpha**D * (alpha - 1))
 
 
 def _geometric_sums(a: int, k: int, up: bool) -> Iterator[tuple[int, int, int]]:
@@ -455,16 +462,25 @@ def bounds_two_excursions_range(
     return _bounds_range(t_lo, t_hi, D)
 
 
-def _excursion_terms(alpha: _Dyadic, d: _Dyadic, n_terms: int, readings: tuple) -> tuple:
-    """The three sums of the two-excursion count at N = n_terms, from the
-    lower and upper readings of _geometric_sums at N; sums run over u = 0..N:
+def _excursion_terms(alpha: _Dyadic, d: _Dyadic) -> Callable[[int], tuple]:
+    """The three sums of the two-excursion count as a function of N, read
+    from one pass of _geometric_sums, so N must increase from call to
+    call; sums run over u = 0..N:
 
         s1 = d^2 sum (u+1) alpha^u            (the dominant term)
         s2 = d (alpha G(N) - (N+1))/(alpha-1) (left-of-run geometric part)
         s3 = d GG(N)                          (right-of-run geometric part)
     """
-    g, w, gg = (_Dyadic(low, high, alpha.k) for low, high in zip(*readings))
-    return d * d * w, d / (alpha - 1) * (alpha * g - (n_terms + 1)), d * gg
+    squared, ratio = d * d, d / (alpha - 1)
+    k = alpha.k
+    sums = enumerate(zip(_geometric_sums(alpha.lo, k, False), _geometric_sums(alpha.hi, k, True)))
+
+    def terms(n_terms: int) -> tuple:
+        reading = next(reading for n, reading in sums if n == n_terms)
+        g, w, gg = (_Dyadic(low, high, k) for low, high in zip(*reading))
+        return squared * w, ratio * (alpha * g - (n_terms + 1)), d * gg
+
+    return terms
 
 
 def _bounds_range(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, Fraction, Fraction]]:
@@ -477,14 +493,8 @@ def _bounds_range(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, Fraction,
         if _quantized_steps(t) != depth:
             depth = _quantized_steps(t)
             k = depth + _GUARD_BITS
-            alpha, d = _enclosures(D, depth, k)
-            sums = enumerate(zip(
-                _geometric_sums(alpha.lo, k, False), _geometric_sums(alpha.hi, k, True)
-            ))
-            summed = -1  # the largest N read from sums
-        while summed < n_terms:
-            summed, readings = next(sums)
-        s1, s2, s3 = _excursion_terms(alpha, d, n_terms, readings)
+            terms = _excursion_terms(*_enclosures(D, depth, k))
+        s1, s2, s3 = terms(n_terms)
         half = (s2 + s3) >> 1
         # s4 = (N+1)(N+2)/8, the constant 1/4 per cell, exact over 2^k
         s4 = (n_terms + 1) * (n_terms + 2) << (k - 3)
@@ -527,16 +537,15 @@ def excursion_term_report(D: int, t_max: int) -> TermReport:
     check_least(D=(D, 2), t_max=(t_max, 1))
     k = _REPORT_STEPS + _GUARD_BITS
     alpha, d = _enclosures(D, _REPORT_STEPS, k)
-    limit = d * d / (alpha**D * (alpha - 1))
-    sums = zip(_geometric_sums(alpha.lo, k, False), _geometric_sums(alpha.hi, k, True))
+    limit = _two_excursion_limit(D, alpha, d)
+    terms = _excursion_terms(alpha, d)
     rows = []
     power = alpha  # alpha^t
     for t in range(1, t_max + 1):
         if t <= D:  # no admissible run length
             rows.append((t, 0.0, 0.0, 0.0))
         else:
-            terms = _excursion_terms(alpha, d, t - D - 1, next(sums))
-            s1, s2, s3 = (term.lo + term.hi for term in terms)
+            s1, s2, s3 = (x.lo + x.hi for x in terms(t - D - 1))
             scale = power.lo + power.hi
             rows.append((t, s1 / (t * scale), s2 / scale, s3 / scale))
         power = power * alpha

@@ -162,6 +162,17 @@ def test_bounds_sandwich_rendered_outward():
      "63045a344fb34f10e513147cd8b658da91d403a189357bfc638cc2366334a564"),
     (["count", "--t", "1", "--t-max", "2000", "--D", "2", "--n", "1", "--format", "table"],
      "b8c0900efe2975b255ce69615bb79fce9772d520e018de5a698f75c03d0bcd9a"),
+    (["alpha", "--D", "3", "--digits", "300"],
+     "1d00bdd344081dcf12ac134a19ca541519f77e4600dce01f23d8148e24481a41"),
+    (["alpha", "--D", "12", "--digits", "60"],
+     "ef8890c988cb84f34699159f60bd05029c69a2811f155e644c4756e227ab1719"),
+    (["constants", "--D", "3", "--n", "2", "--digits", "60"],
+     "06e384ad3565d8b6dda37d87bfb6e85edfc08d6af6cc20acf2e44222ca3dcfe6"),
+    (["table1", "--t", "20", "--D", "2"],
+     "567e1f23cb33e69b59b24ba5a9d500a8ead67b4032975d1bff4f28d8fc207f62"),
+    # beyond the float range the approximations print as decimals
+    (["table1", "--t", "2000", "--D", "2"],
+     "646d09ee262dbde5b4b570a4f3b80b5e5118967ec9b0b79052b7462a85526bf9"),
 ])
 def test_bounds_output_pinned(argv, digest):
     # the printed bounds, growth rates and constants are certified

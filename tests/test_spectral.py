@@ -11,7 +11,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cuspcensus.compositions import count_bounded, count_exact_excursions
 from cuspcensus.spectral import (
@@ -22,6 +22,7 @@ from cuspcensus.spectral import (
     _Dyadic,
     _power,
     _scaled_poly_value,
+    _steps_for,
     bounds_two_excursions,
     bounds_two_excursions_range,
     closed_form_count,
@@ -252,11 +253,14 @@ def test_bracket_equals_bisection(D):
     assert {steps: _bracket(D, steps) for steps in wanted} == expected
 
 
+def _spectral_tree():
+    return ast.parse((SRC / "cuspcensus" / "spectral.py").read_text(encoding="utf-8"))
+
+
 def _spectral_imports():
     """The modules spectral.py imports, relative ones with their dots."""
-    tree = ast.parse((SRC / "cuspcensus" / "spectral.py").read_text(encoding="utf-8"))
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(_spectral_tree()):
         if isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
             imported.update(f".{alias.name}" for alias in node.names if node.level)
@@ -281,6 +285,23 @@ def test_spectral_has_one_arithmetic():
     assert not {name for name in imported if name.split(".")[0] == "decimal"}, imported
 
 
+def test_spectral_builds_fractions_only_for_returned_values():
+    # precision is decided on integers: a function body calls Fraction only
+    # to parse a tolerance, to return a value or to validate an enclosure
+    builders = {
+        function.name
+        for function in ast.walk(_spectral_tree())
+        if isinstance(function, ast.FunctionDef)
+        for statement in function.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
+    }
+    assert builders == {
+        "enclosure", "__post_init__", "_tolerance", "solve_alpha",
+        "limit_constant", "_bounds_range",
+    }
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         _bracket(1, 10)
@@ -293,6 +314,38 @@ def test_solve_alpha_validation():
         solve_alpha(1)
     with pytest.raises(ValueError):
         solve_alpha(3, 0)
+    with pytest.raises(ValueError):
+        solve_alpha(3, Fraction(-1, 10**9))
+
+
+def steps_by_halving(D, tol):
+    """Reference for _steps_for: the bracket's width 2^-(D-1) after one
+    bisection, halved once per further step until it is at most tol."""
+    steps = 1
+    width = Fraction(1, 1 << (D - 1))
+    while width > tol:
+        steps += 1
+        width /= 2
+    return steps
+
+
+# integers below 10^300 of every length, and powers of two with their
+# nearest neighbours at 50 digits, where the depth steps up
+sized = st.integers(1, 300).flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1))
+powers_of_two = st.builds(
+    lambda e, nudge: Fraction(2) ** e * (1 + Fraction(nudge, 10**50)),
+    st.integers(-990, 990), st.sampled_from([-1, 0, 1]),
+)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 40), st.one_of(st.builds(Fraction, sized, sized), powers_of_two))
+@example(2, Fraction(1))
+@example(40, Fraction(10**299))
+@example(3, Fraction(1, 4))
+@example(40, Fraction(1, 1 << 39))
+def test_steps_for_matches_halving(D, tol):
+    assert _steps_for(D, tol.numerator, tol.denominator) == steps_by_halving(D, tol)
 
 
 # -- derived constants -----------------------------------------------------------
