@@ -217,8 +217,11 @@ def _to_decimal(x: Fraction) -> Decimal:
 
 def _ratio_to_limit(count: int, t: int, power_base: Fraction) -> float:
     """count/(t * base^t), correctly rounded: for base = p/q it is one
-    division of integers, count q^t / (t p^t)."""
-    return count * power_base.denominator**t / (t * power_base.numerator**t)
+    division of integers, count q^t / (t p^t), with q's power of two
+    2^k raised to the t as a shift by k t."""
+    p, q = power_base.numerator, power_base.denominator
+    k = (q & -q).bit_length() - 1
+    return ((count * (q >> k) ** t) << (k * t)) / (t * p**t)
 
 
 def _check_t_list(t_list: Sequence[int]) -> None:
@@ -323,9 +326,12 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
     n = 1..n_max, and those with two depth-D excursions; exact counts next
     to their asymptotic approximations."""
     check_least(t=(t, 1), D=(D, 2), n_max=(n_max, 1))
-    alpha_mid = solve_alpha(D, _ALPHA_TOL).midpoint()
-    d_mid = coefficient_d(D, _ALPHA_TOL).midpoint()
-    limit_mid = limit_constant("two_excursions_D", D).midpoint()
+    # alpha^t loses about as many digits as t has, so the constants carry
+    # that many more than the RATIO_DPS of the products
+    tol = Fraction(1, 10 ** (RATIO_DPS + len(str(t))))
+    alpha_mid = solve_alpha(D, tol).midpoint()
+    d_mid = coefficient_d(D, tol).midpoint()
+    limit_mid = limit_constant("two_excursions_D", D, tol).midpoint()
     with localcontext(_RATIO_CONTEXT):
         power = _to_decimal(alpha_mid) ** t
         rows = [

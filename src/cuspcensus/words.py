@@ -16,13 +16,16 @@ projectivization identifying a tuple with its negation, run-length
 extraction, free-product reduction, and a canonical form deciding cyclic
 conjugacy.
 
-Throughout, the syllable ``b^-1`` is written ``"B"``.
+Throughout, the syllable ``b^-1`` is written ``"B"``.  The group law is
+stated once, in two tables: ``_PRODUCT`` multiplies two letters of one free
+factor (``a^2 = b^3 = 1``) and ``_INVERSE`` inverts letters.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 from ._contract import check_least
@@ -31,17 +34,17 @@ ALPHABET = ("a", "b", "B")
 
 _SYLLABLES = frozenset(ALPHABET)
 _SIGNS = frozenset((1, -1))
-_B_EXPONENT = {"b": 1, "B": 2}  # exponents mod 3
-_B_TOKEN = {1: "b", 2: "B"}
-_INVERSE_SYLLABLE = {"a": "a", "b": "B", "B": "b"}
 
-# The template's two syllables for a sign, and for its negation.
+# The product of two letters of one free factor: a^2 = 1 and b^3 = 1.
+_PRODUCT = {"aa": "", "bB": "", "Bb": "", "bb": "B", "BB": "b"}
+_INVERSE = str.maketrans("bB", "Bb")
+
+# The template's two syllables for a sign.
 _PAIR = {1: "ab", -1: "aB"}
-_NEGATED_PAIR = {1: "aB", -1: "ab"}
 
 # A word is reduced exactly when no two adjacent syllables lie in the same
 # free factor.
-_REDUCIBLE = re.compile("aa|[bB][bB]")
+_REDUCIBLE = re.compile("|".join(_PRODUCT))
 
 
 class NotNormalForm(ValueError):
@@ -131,7 +134,7 @@ class GroupWord:
         return GroupWord(self.syllables + other.syllables)
 
     def inverse(self) -> GroupWord:
-        return GroupWord(tuple(_INVERSE_SYLLABLE[s] for s in reversed(self.syllables)))
+        return GroupWord(tuple("".join(self.syllables)[::-1].translate(_INVERSE)))
 
     def is_reduced(self) -> bool:
         return _REDUCIBLE.search("".join(self.syllables)) is None
@@ -179,9 +182,9 @@ def reciprocal_word(eps: EpsilonSeq) -> ReciprocalNormalForm:
     >>> str(reciprocal_word(EpsilonSeq((1, -1))).word)
     'abaBabaB'
     """
-    text = "".join(map(_PAIR.__getitem__, eps.signs)) + "".join(
-        map(_NEGATED_PAIR.__getitem__, reversed(eps.signs))
-    )
+    half = "".join(map(_PAIR.__getitem__, eps.signs))
+    # the second half is a x^-1 a for the first half x
+    text = half + "a" + half[:0:-1].translate(_INVERSE)
     return ReciprocalNormalForm(eps, GroupWord(tuple(text)))
 
 
@@ -191,23 +194,17 @@ def epsilon_of(w: GroupWord) -> EpsilonSeq:
     Inverse of :func:`reciprocal_word`.  Raises :class:`NotNormalForm` when
     the word does not match the template exactly.
     """
-    n = len(w.syllables)
+    text = "".join(w.syllables)
+    n = len(text)
     if n == 0 or n % 4 != 0:
         raise NotNormalForm(f"syllable length {n} is not a positive multiple of 4")
+    letters = text[1::2]
+    if text[::2] != "a" * len(letters) or "a" in letters:
+        raise NotNormalForm("expected 'a' and b-syllables to alternate, from an 'a'")
     t = n // 4
-    exps = []
-    for j in range(2 * t):
-        if w.syllables[2 * j] != "a":
-            raise NotNormalForm(f"expected 'a' at syllable {2 * j}")
-        tok = w.syllables[2 * j + 1]
-        if tok == "a":
-            raise NotNormalForm(f"expected b-syllable at {2 * j + 1}")
-        exps.append(_B_EXPONENT[tok])
-    for i in range(t):
-        # syllable 2(t+i)+1 carries -e_{t-i}
-        if (exps[t + i] + exps[t - 1 - i]) % 3 != 0:
-            raise NotNormalForm("suffix signs do not negate the reversed prefix")
-    return EpsilonSeq(tuple(1 if e == 1 else -1 for e in exps[:t]))
+    if letters[t:] != letters[:t][::-1].translate(_INVERSE):
+        raise NotNormalForm("suffix signs do not negate the reversed prefix")
+    return EpsilonSeq(tuple(1 if x == "b" else -1 for x in letters[:t]))
 
 
 def projectivize(eps: EpsilonSeq) -> ProjectiveEpsilonSeq:
@@ -223,16 +220,7 @@ def run_sequence(eps: EpsilonSeq) -> Composition:
     >>> run_sequence(EpsilonSeq((1, 1, 1, -1, 1, -1, -1, 1))).parts
     (3, 1, 1, 2, 1)
     """
-    parts = []
-    run = 1
-    for prev, cur in zip(eps.signs, eps.signs[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            parts.append(run)
-            run = 1
-    parts.append(run)
-    return Composition(tuple(parts))
+    return Composition(tuple(len(list(run)) for _, run in groupby(eps.signs)))
 
 
 def excursion_parts(c: Composition, depth: int) -> int:
@@ -249,9 +237,9 @@ def excursion_parts(c: Composition, depth: int) -> int:
 def reduce_word(w: GroupWord) -> GroupWord:
     """Fully reduce a word in Z2 * Z3.
 
-    Cancels ``aa`` pairs and combines adjacent b-syllables with exponent
-    arithmetic mod 3.  Idempotent and length-nonincreasing.  A word that
-    is already reduced (one regular-expression scan of its letters, see
+    Replaces two adjacent letters of one free factor by their product in
+    ``_PRODUCT``.  Idempotent and length-nonincreasing.  A word that is
+    already reduced (one regular-expression scan of its letters, see
     :meth:`GroupWord.is_reduced`) is returned as it is; any other word is
     reduced syllable by syllable on a stack.
 
@@ -276,10 +264,10 @@ def reduce_word(w: GroupWord) -> GroupWord:
         elif top == "a":
             stack.append(s)
         else:
-            e = (_B_EXPONENT[top] + _B_EXPONENT[s]) % 3
             stack.pop()
-            if e:
-                stack.append(_B_TOKEN[e])
+            merged = _PRODUCT[top + s]
+            if merged:
+                stack.append(merged)
             # a cancellation may expose a new reducible pair; the stack
             # invariant (reduced prefix) makes a single merge sufficient
     return GroupWord(tuple(stack))
@@ -288,17 +276,8 @@ def reduce_word(w: GroupWord) -> GroupWord:
 def _cyclic_reduce(text: str) -> str:
     """Shorten the letters of a reduced word by conjugation until its first
     and last syllables lie in different free factors (or length <= 1)."""
-    while len(text) >= 2:
-        first, last = text[0], text[-1]
-        if first == "a" and last == "a":
-            text = text[1:-1]
-        elif first != "a" and last != "a":
-            e = (_B_EXPONENT[first] + _B_EXPONENT[last]) % 3
-            text = text[1:-1]
-            if e:
-                text += _B_TOKEN[e]
-        else:
-            break
+    while len(text) >= 2 and (text[0] == "a") == (text[-1] == "a"):
+        text = text[1:-1] + _PRODUCT[text[-1] + text[0]]
     return text
 
 

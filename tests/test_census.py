@@ -10,9 +10,11 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -414,6 +416,27 @@ def test_table1_frozen_t20_d2():
     two = by_family["two_excursions"][0]
     assert two.exact == count_exact_excursions(20, 1, 2)
     assert abs(two.approx - two.exact) <= 0.25 * two.exact
+
+
+def test_table1_approximations_are_correctly_rounded():
+    # an independent 120-digit reference: alpha_D as mpmath's root of
+    # z^D - z^(D-1) - ... - 1, and each approximation built from it; table1
+    # prints 12 digits, and each must be the reference correctly rounded
+    def rounded(x):
+        return Context(prec=12).plus(Decimal(x))
+
+    for D in (2, 3, 7, 12):
+        with mpmath.workdps(120):
+            alpha = mpmath.findroot(lambda z: z**D - sum(z**k for k in range(D)), 2)
+            d = (alpha - 1) / (2 + (D + 1) * (alpha - 2))
+            limit = d**2 / (alpha**D * (alpha - 1))
+            for t in (20, 200, 2000, 20000):
+                wanted = [d * alpha**t]
+                wanted += [mpmath.mpf(t) ** (2 * n) / math.factorial(2 * n) for n in (1, 2, 3)]
+                wanted.append(limit * t * alpha**t)
+                got = [row.approx for row in table1(t, D)[1:]]
+                for value, reference in zip(got, wanted, strict=True):
+                    assert rounded(value) == rounded(mpmath.nstr(reference, 60)), (D, t)
 
 
 def test_table1_row_layout():

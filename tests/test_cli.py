@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,7 +173,13 @@ def test_bounds_sandwich_rendered_outward():
      "567e1f23cb33e69b59b24ba5a9d500a8ead67b4032975d1bff4f28d8fc207f62"),
     # beyond the float range the approximations print as decimals
     (["table1", "--t", "2000", "--D", "2"],
-     "646d09ee262dbde5b4b570a4f3b80b5e5118967ec9b0b79052b7462a85526bf9"),
+     "a581d6c1aac6e082b17acfaf3917ed475d0bf7458c91d31966fa6c4b378bc36d"),
+    # the words the word layer prints: every normal form of t = 12, and a
+    # filtered run in the other format
+    (["enumerate", "--t", "12"],
+     "6a2b6399e2721f9bfed1d2cdaff6418df23e8445924ae9f7005709e1b2ce402e"),
+    (["enumerate", "--t", "10", "--n", "2", "--D", "2", "--format", "json-lines"],
+     "3910a8a829abbf915256ccaf8b54195cc651d745937ddf2665bd3f5addd5c2d3"),
 ])
 def test_bounds_output_pinned(argv, digest):
     # the printed bounds, growth rates and constants are certified
@@ -444,8 +451,9 @@ def test_table1_approx_beyond_float_range():
     mantissa, exponent = low["approx"].split("e+")
     assert len(mantissa.replace(".", "")) <= 12
     assert int(exponent) == len(low["exact"]) - 1
-    # alpha is known to 1e-12, so alpha^t to about 1e-8 relative
-    assert mantissa.replace(".", "")[:6] == low["exact"][:6]
+    # the count is d alpha^t to within 1/2, so all 12 printed digits are
+    # the count's, correctly rounded
+    assert Decimal(low["approx"]) == Context(prec=12).plus(Decimal(low["exact"]))
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -292,7 +292,8 @@ def test_bounded_recursion_property(t, D):
 
 
 def test_counts_deterministic_under_threads():
-    # warm caches concurrently, then check values against the recursion
+    # counts computed on eight threads at once match the recursion
+    # count(t) = count(t-1) + ... + count(t-D), read on one thread
     grid = [(t, D) for D in range(2, 10) for t in (400, 500, 600)]
     with ThreadPoolExecutor(max_workers=8) as ex:
         results = list(ex.map(lambda td: count_bounded(*td), grid))
@@ -436,8 +437,9 @@ def test_census_column_checks_arguments_at_the_call():
 
 
 def test_census_cursor_shared_between_threads():
-    # every request moves the shared cursor for D = 3; a lost update
-    # would hand some thread the row of another t
+    # rows of D = 3 for shuffled t, asked for on four threads that switch
+    # every microsecond: any state shared between calls would hand some
+    # thread the row of another t
     ts = list(range(120)) * 2
     random.Random(7).shuffle(ts)
     interval = sys.getswitchinterval()

@@ -20,7 +20,15 @@ from cuspcensus.matrices import (
     factors_through_involution,
     reciprocity_check,
 )
-from cuspcensus.words import ALPHABET, EpsilonSeq, GroupWord, reciprocal_word, reduce_word
+from cuspcensus.words import (
+    _INVERSE,
+    _PRODUCT,
+    ALPHABET,
+    EpsilonSeq,
+    GroupWord,
+    reciprocal_word,
+    reduce_word,
+)
 
 raw_words = st.lists(st.sampled_from(ALPHABET), min_size=0, max_size=30).map(
     lambda xs: GroupWord(tuple(xs))
@@ -112,6 +120,15 @@ def test_evaluate_equals_the_one_letter_fold_on_every_short_word():
         for word in itertools.product(ALPHABET, repeat=n):
             product = functools.reduce(operator.mul, map(generator.get, word), IDENTITY)
             assert evaluate(GroupWord(word)) == PSL2Element.of(product)
+
+
+def test_group_law_tables_agree_with_matrices():
+    # each entry of the word layer's two tables holds in PSL(2, Z)
+    for pair, product in _PRODUCT.items():
+        assert evaluate(GroupWord(tuple(pair))) == evaluate(GroupWord(tuple(product)))
+    for letter in ALPHABET:
+        inverse = GroupWord((letter.translate(_INVERSE),))
+        assert (evaluate(GroupWord((letter,))) * evaluate(inverse)).is_identity()
 
 
 @given(raw_words)

@@ -143,6 +143,33 @@ def test_epsilon_of_rejects_non_normal():
         epsilon_of(GroupWord.from_string("ababaBab"))
 
 
+def test_epsilon_of_accepts_exactly_the_normal_forms():
+    # every word of length up to 8: the accepted ones are the 2 + 4
+    # reciprocal normal forms, each giving back the tuple that built it,
+    # and every rejection names the check that failed
+    forms = {
+        letters(reciprocal_word(EpsilonSeq(tup)).word): tup
+        for t in (1, 2)
+        for tup in itertools.product((1, -1), repeat=t)
+    }
+    accepted = {}
+    for n in range(9):
+        for tup in itertools.product(ALPHABET, repeat=n):
+            text = "".join(tup)
+            try:
+                signs = epsilon_of(GroupWord(tup)).signs
+            except NotNormalForm as exc:
+                if n == 0 or n % 4:
+                    assert str(exc).startswith("syllable length"), text
+                elif text[::2] != "a" * (n // 2) or "a" in text[1::2]:
+                    assert str(exc).startswith("expected"), text
+                else:
+                    assert str(exc).startswith("suffix"), text
+            else:
+                accepted[text] = signs
+    assert accepted == forms
+
+
 def test_suffix_is_reversed_negated_prefix():
     eps = EpsilonSeq((1, 1, -1, 1))
     w = reciprocal_word(eps).word
