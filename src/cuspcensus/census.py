@@ -3,8 +3,8 @@
 Ties the other modules together: the combinatorial counts (compositions),
 the brute-force sign-mask oracle, the word-level conjugacy grouping
 (words) and the certified constants (spectral) meet here in cross-checked
-census tables and tolerance-based convergence reports, whose ratios are
-each one correctly rounded division of exact integers.
+census tables, a growth table rounded with proof and convergence reports
+whose ratios are each one correctly rounded division of exact integers.
 
 Counts are produced by two unrelated routes and compared cell by cell:
 
@@ -26,7 +26,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Optional, Sequence, Union
@@ -45,9 +45,10 @@ from .compositions import (
 from .spectral import (
     bounds_two_excursions_range,
     closed_form_count,
-    coefficient_d,
     excursion_term_report,
+    growth_approximations,
     limit_constant,
+    rounded_ratio,
     solve_alpha,
 )
 from .words import EpsilonSeq, canonical_cyclic_form, reciprocal_word
@@ -59,12 +60,6 @@ DEFAULT_ORACLE_CAP = 18
 
 #: largest t for which normal forms are grouped by cyclic conjugacy
 CONJUGACY_CAP = 14
-
-#: decimal digits of table1's approximations, which can leave the float range
-RATIO_DPS = 50
-
-# with the widest exponent range, so that no large t overflows
-_RATIO_CONTEXT = Context(prec=RATIO_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _ALPHA_TOL = Fraction(1, 10**12)
 
@@ -211,10 +206,6 @@ def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusR
     ]
 
 
-def _to_decimal(x: Fraction) -> Decimal:
-    return Decimal(x.numerator) / x.denominator
-
-
 def _ratio_to_limit(count: int, t: int, power_base: Fraction) -> float:
     """count/(t * base^t), correctly rounded: for base = p/q it is one
     division of integers, count q^t / (t p^t), with q's power of two
@@ -302,8 +293,8 @@ def verify_theorem_two_excursions(
 class Table1Row:
     """One family row of the headline growth table.
 
-    approx is a float, or a Decimal of RATIO_DPS significant digits when
-    the value lies beyond the float range.
+    approx is the nearest float to the family's growth law or, beyond the
+    float range, the Decimal of its nearest spectral.RATIO_DPS digits.
     """
 
     family: str
@@ -314,10 +305,9 @@ class Table1Row:
     approx: Optional[Union[float, Decimal]]
 
 
-def _approx(x: Decimal) -> Union[float, Decimal]:
-    """x as a float, or unchanged where float() would overflow."""
-    value = float(x)
-    return x if math.isinf(value) else value
+def _approx(value: Union[float, tuple[int, int]]) -> Union[float, Decimal]:
+    """A float as it is, and (m, e) as the Decimal m * 10^e, read exactly."""
+    return value if isinstance(value, float) else Decimal("{}e{}".format(*value))
 
 
 def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
@@ -326,37 +316,17 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
     n = 1..n_max, and those with two depth-D excursions; exact counts next
     to their asymptotic approximations."""
     check_least(t=(t, 1), D=(D, 2), n_max=(n_max, 1))
-    # alpha^t loses about as many digits as t has, so the constants carry
-    # that many more than the RATIO_DPS of the products
-    tol = Fraction(1, 10 ** (RATIO_DPS + len(str(t))))
-    alpha_mid = solve_alpha(D, tol).midpoint()
-    d_mid = coefficient_d(D, tol).midpoint()
-    limit_mid = limit_constant("two_excursions_D", D, tol).midpoint()
-    with localcontext(_RATIO_CONTEXT):
-        power = _to_decimal(alpha_mid) ** t
-        rows = [
-            Table1Row("all", t, None, None, count_all(t), None),
-            Table1Row(
-                "low_lying", t, D, None,
-                count_bounded(t, D), _approx(_to_decimal(d_mid) * power),
-            ),
-        ]
-        for n in range(1, n_max + 1):
-            rows.append(
-                Table1Row(
-                    "depth_one", t, 1, n,
-                    binomial(t, 2 * n),
-                    _approx(Decimal(t) ** (2 * n) / math.factorial(2 * n)),
-                )
-            )
-        rows.append(
-            Table1Row(
-                "two_excursions", t, D, 1,
-                count_exact_excursions(t, 1, D),
-                _approx(_to_decimal(limit_mid) * t * power),
-            )
-        )
-    return rows
+    low_lying, two_excursions = map(_approx, growth_approximations(t, D))
+    return [
+        Table1Row("all", t, None, None, count_all(t), None),
+        Table1Row("low_lying", t, D, None, count_bounded(t, D), low_lying),
+        *(
+            Table1Row("depth_one", t, 1, n, binomial(t, 2 * n),
+                      _approx(rounded_ratio(t ** (2 * n), math.factorial(2 * n))))
+            for n in range(1, n_max + 1)
+        ),
+        Table1Row("two_excursions", t, D, 1, count_exact_excursions(t, 1, D), two_excursions),
+    ]
 
 
 # -- verification suites ---------------------------------------------------------

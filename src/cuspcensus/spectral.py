@@ -22,6 +22,8 @@ held as integers lo <= x * 2^k <= hi, and every operation rounds outward.
   grid.  ``_refine`` doubles the bisection depth until one is
   certified.  The hot loops, binary powering and the geometric sums,
   run on plain integers with every product rounded outward.
+- ``_rounded`` refines one until both of its ends round to one value:
+  the nearest integer, or by rounded_ratio a double or RATIO_DPS digits.
 
 The only state kept between calls is a fixed number of recent
 enclosures of alpha_D and d_D.  No floating point enters any certified
@@ -39,6 +41,7 @@ d_1 = 0, so the closed form degenerates (|C_{t,1}| = 1, not rnd(0)).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -355,6 +358,40 @@ def _power(base: int, t: int, bits: int, up: bool) -> int:
         base = _rescale(base * base, bits, up)
 
 
+#: significant decimal digits of an approximation beyond the float range
+RATIO_DPS = 50
+
+Approximation = Union[float, tuple[int, int]]
+
+
+def rounded_ratio(num: int, den: int) -> Approximation:
+    """num/den > 0 as the nearest double or, beyond the float range, as
+    (m, e): m * 10^e is its nearest value of RATIO_DPS significant digits."""
+    with contextlib.suppress(OverflowError):
+        return num / den  # int/int division is correctly rounded
+    # every digit kept lies in n; e rises to the least power of ten that
+    # rounds n to RATIO_DPS digits, from below since 1233/4096 < log10(2)
+    n = num // den
+    e = ((n.bit_length() - 1) * 1233 >> 12) - RATIO_DPS
+    while (m := (n + 10**e // 2) // 10**e) >= 10**RATIO_DPS:
+        e += 1
+    return m, e
+
+
+def _rounded(D: int, t: int, label: str, value: Callable[[_Dyadic, _Dyadic], _Dyadic],
+             rounding: Callable[[int, int], _T]) -> _T:
+    """rounding(lo, k) for the enclosure [lo, hi]/2^k of value(alpha, d),
+    refined from the depth for height alpha^t until rounding(hi, k) agrees."""
+
+    def rounded(alpha: _Dyadic, d: _Dyadic) -> Optional[_T]:
+        x = value(alpha, d)
+        r = rounding(x.lo, x.k)
+        return r if r == rounding(x.hi, x.k) else None
+
+    return _refine(D, _quantized_steps(t), _GUARD_BITS, rounded,
+                   f"rounding of {label} stayed ambiguous at t={t}, D={D}")
+
+
 def closed_form_count(t: int, D: int) -> int:
     """The rounded closed form rnd(d_D * alpha_D^t), computed with proof.
 
@@ -370,16 +407,22 @@ def closed_form_count(t: int, D: int) -> int:
     1
     """
     check_least(t=(t, 0), D=(D, 2))
+    return _rounded(D, t, "d*alpha^t", lambda alpha, d: d * alpha**t,
+                    lambda n, k: (n + (1 << (k - 1))) >> k)
 
-    def rounded(alpha: _Dyadic, d: _Dyadic) -> Optional[int]:
-        x = d * alpha**t
-        half = 1 << (x.k - 1)
-        n = (x.lo + half) >> x.k
-        return n if n == (x.hi + half) >> x.k else None
 
-    return _refine(
-        D, _quantized_steps(t), _GUARD_BITS, rounded,
-        f"rounding of d*alpha^t stayed ambiguous at t={t}, D={D}",
+def growth_approximations(t: int, D: int) -> tuple[Approximation, Approximation]:
+    """d_D * alpha_D^t and the two-excursion limit constant times
+    t * alpha_D^t, each as rounded_ratio rounds it, with proof."""
+    check_least(t=(t, 0), D=(D, 2))
+
+    def ratio(n: int, k: int) -> Approximation:
+        return rounded_ratio(n, 1 << k)
+
+    return (
+        _rounded(D, t, "d*alpha^t", lambda alpha, d: d * alpha**t, ratio),
+        _rounded(D, t, "limit*t*alpha^t",
+                 lambda alpha, d: _two_excursion_limit(D, alpha, d) * t * alpha**t, ratio),
     )
 
 

@@ -252,24 +252,11 @@ def reduce_word(w: GroupWord) -> GroupWord:
         return w
     stack: list[str] = []
     for s in w.syllables:
-        if not stack:
-            stack.append(s)
-            continue
-        top = stack[-1]
-        if s == "a":
-            if top == "a":
-                stack.pop()
-            else:
-                stack.append(s)
-        elif top == "a":
-            stack.append(s)
+        # the stack is a reduced prefix, which one merge keeps reduced
+        if stack and (stack[-1] == "a") == (s == "a"):
+            stack.extend(_PRODUCT[stack.pop() + s])
         else:
-            stack.pop()
-            merged = _PRODUCT[top + s]
-            if merged:
-                stack.append(merged)
-            # a cancellation may expose a new reducible pair; the stack
-            # invariant (reduced prefix) makes a single merge sufficient
+            stack.append(s)
     return GroupWord(tuple(stack))
 
 

@@ -269,6 +269,26 @@ def test_binomial_reference_reaches_no_kernel_name():
     assert census._binomial_row(0) == [1]
 
 
+def test_census_rounds_without_a_decimal_context():
+    # table1's approximations are rounded by spectral, on its intervals:
+    # census takes only Decimal from decimal, to hold their digits
+    tree = ast.parse((SRC / "cuspcensus" / "census.py").read_text(encoding="utf-8"))
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "decimal" in (getattr(node, "module", None), alias.name)
+    }
+    assert imported == {("decimal", "Decimal")}
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"Context", "localcontext"}
+
+
 def test_binomial_row_equals_math_comb():
     for t in range(65):
         assert census._binomial_row(t) == [math.comb(t, k) for k in range(t + 1)]
@@ -421,9 +441,10 @@ def test_table1_frozen_t20_d2():
 def test_table1_approximations_are_correctly_rounded():
     # an independent 120-digit reference: alpha_D as mpmath's root of
     # z^D - z^(D-1) - ... - 1, and each approximation built from it; table1
-    # prints 12 digits, and each must be the reference correctly rounded
-    def rounded(x):
-        return Context(prec=12).plus(Decimal(x))
+    # prints 12 digits, and each must be the reference correctly rounded,
+    # as must every digit of an approximation beyond the float range
+    def rounded(x, digits):
+        return Context(prec=digits).plus(Decimal(x))
 
     for D in (2, 3, 7, 12):
         with mpmath.workdps(120):
@@ -436,7 +457,31 @@ def test_table1_approximations_are_correctly_rounded():
                 wanted.append(limit * t * alpha**t)
                 got = [row.approx for row in table1(t, D)[1:]]
                 for value, reference in zip(got, wanted, strict=True):
-                    assert rounded(value) == rounded(mpmath.nstr(reference, 60)), (D, t)
+                    reference = mpmath.nstr(reference, 60)
+                    assert rounded(value, 12) == rounded(reference, 12), (D, t)
+                    if isinstance(value, Decimal):
+                        assert value == rounded(reference, 50), (D, t)
+
+
+@pytest.mark.parametrize("t", (2000, 20000, 25000))
+def test_table1_low_lying_prints_fifty_correct_digits(t):
+    # |d alpha^t - count| < 1/2, and the count has more than 50 digits, so
+    # the 50-digit approximation is the exact count rounded to 50 digits
+    for D in (2, 3, 12):
+        low = table1(t, D, n_max=1)[1]
+        assert isinstance(low.approx, Decimal)
+        assert low.approx == Context(prec=50).plus(Decimal(low.exact)), (D, t)
+
+
+def test_table1_depth_one_beyond_float_range():
+    # t^(2n)/(2n)! leaves the float range at t = 2000 from n = 112 on; its
+    # 50 digits are those of the exact quotient
+    for row in table1(2000, 2, n_max=130)[2:-1]:
+        exact = Context(prec=50).divide(Decimal(2000 ** (2 * row.n)), math.factorial(2 * row.n))
+        if row.n < 112:
+            assert isinstance(row.approx, float)
+        else:
+            assert row.approx == exact, row.n
 
 
 def test_table1_row_layout():

@@ -174,6 +174,9 @@ def test_bounds_sandwich_rendered_outward():
     # beyond the float range the approximations print as decimals
     (["table1", "--t", "2000", "--D", "2"],
      "a581d6c1aac6e082b17acfaf3917ed475d0bf7458c91d31966fa6c4b378bc36d"),
+    # and at 50 digits, each of them certified
+    (["table1", "--t", "2000", "--D", "2", "--digits", "50"],
+     "36735457367bdac3a40b96af98b793ad86896521ef981110dadd31c8a3a86feb"),
     # the words the word layer prints: every normal form of t = 12, and a
     # filtered run in the other format
     (["enumerate", "--t", "12"],
@@ -454,6 +457,13 @@ def test_table1_approx_beyond_float_range():
     # the count is d alpha^t to within 1/2, so all 12 printed digits are
     # the count's, correctly rounded
     assert Decimal(low["approx"]) == Context(prec=12).plus(Decimal(low["exact"]))
+
+
+def test_table1_prints_fifty_certified_digits():
+    # d alpha^2000 at D = 2 is 6.83570225957580664704539654917058010705540802936552...e417
+    code, out, err = run(["table1", "--t", "2000", "--D", "2", "--digits", "50", "--format", "csv"])
+    assert code == 0, err
+    assert out.splitlines()[2].endswith(",6.8357022595758066470453965491705801070554080293655e+417,50")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

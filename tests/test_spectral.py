@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from cuspcensus.spectral import (
     closed_form_count,
     coefficient_d,
     excursion_term_report,
+    growth_approximations,
     limit_constant,
+    rounded_ratio,
     solve_alpha,
 )
 
@@ -433,6 +436,40 @@ def test_closed_form_count_matches_dp():
 @given(st.integers(0, 3000), st.integers(2, 12))
 def test_closed_form_matches_dp_property(t, D):
     assert closed_form_count(t, D) == count_bounded(t, D)
+
+
+#: the largest value whose nearest double is finite lies below this
+FLOAT_END = 2**1024 - 2**970
+
+
+def fifty_digits(num, den):
+    """Reference for rounded_ratio beyond the float range: one division
+    in a 50-digit decimal context, rounding half up as rounded_ratio does."""
+    exact = Context(prec=50, rounding=ROUND_HALF_UP).divide(Decimal(num), Decimal(den))
+    sign, digits, exponent = exact.as_tuple()
+    return int("".join(map(str, digits))), exponent
+
+
+@example(FLOAT_END - 1, 1)
+@example(FLOAT_END, 1)
+@example(10**400 - 1, 1)  # rounds up to the next power of ten
+@example(10**400 + 5 * 10**350, 1)  # a tie, rounded up
+@given(st.integers(1, 10**500), st.integers(1, 10**100))
+def test_rounded_ratio_is_the_nearest_double_or_fifty_digits(num, den):
+    value = rounded_ratio(num, den)
+    if num < FLOAT_END * den:
+        assert value == float(Fraction(num, den))
+    else:
+        assert value == fifty_digits(num, den)
+        assert 10**49 <= value[0] < 10**50
+
+
+def test_growth_approximations():
+    assert growth_approximations(20, 2) == (10945.999981728486, 97904.0001634254)
+    with pytest.raises(ValueError, match="^D must be"):
+        growth_approximations(20, 1)
+    with pytest.raises(ValueError, match="^t must be"):
+        growth_approximations(-1, 2)
 
 
 @settings(deadline=None)

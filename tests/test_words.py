@@ -274,6 +274,13 @@ def test_reduce_word_matches_stack_reference(w):
     assert w.is_reduced() == (letters(w) == stack_reduced(letters(w)))
 
 
+def test_reduce_word_matches_stack_reference_on_every_short_word():
+    # all 9841 words of up to 8 letters, reduced or not
+    for n in range(9):
+        for syllables in itertools.product(ALPHABET, repeat=n):
+            assert letters(reduce_word(GroupWord(syllables))) == stack_reduced("".join(syllables))
+
+
 @given(raw_words)
 def test_reduce_of_w_winv_is_identity(w):
     assert str(reduce_word(w * w.inverse())) == "1"
