@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ._contract import check_least
 from .compositions import (
@@ -117,6 +118,13 @@ def _within(name, parameters, measured, expected, tolerance, relative=False) -> 
         name, tuple(parameters), measured, expected, tolerance, relative,
         "within", abs(m - e) <= bound,
     )
+
+
+def _mismatches(a: Iterable, b: Iterable) -> int:
+    """The number of unequal pairs of a and b, read in step; each item of
+    the longer one past the end of the shorter counts too."""
+    missing = object()
+    return sum(1 for x, y in zip_longest(a, b, fillvalue=missing) if x != y)
 
 
 def _below(name, parameters, measured, expected) -> Check:
@@ -363,6 +371,7 @@ def suite_partition(
     census_rows per D."""
     check_least(t_max=(t_max, 1), d_max=(d_max, 1), oracle_max_t=(oracle_max_t, 1))
     checks = []
+    cell = operator.attrgetter("t", "D", "n", "count")
     for D in range(1, d_max + 1):
         for t, kernel_row in census_rows(1, t_max, D):
             rows = excursion_census(t, D)
@@ -373,13 +382,8 @@ def suite_partition(
             )
             if t <= oracle_max_t:
                 oracle = oracle_census(t, D, cap=oracle_max_t)
-                mismatches = sum(
-                    1 for a, b in zip(rows, oracle)
-                    if (a.t, a.D, a.n, a.count) != (b.t, b.D, b.n, b.count)
-                ) + abs(len(rows) - len(oracle))
-                mismatches += sum(
-                    1 for count, b in zip(kernel_row, oracle) if count != b.count
-                ) + abs(len(kernel_row) - len(oracle))
+                mismatches = _mismatches(map(cell, rows), map(cell, oracle))
+                mismatches += _mismatches(kernel_row, (r.count for r in oracle))
                 checks.append(_within("dp_vs_oracle_cells", (t, D), mismatches, 0, 0))
     return VerificationReport("partition", tuple(checks))
 
@@ -410,10 +414,9 @@ def suite_double_sum(
     )
     checks = []
     for D in range(2, d_max + 1):
-        pairs = zip_longest(
+        mismatches = _mismatches(
             census_column(1, t_max, 1, D), two_excursion_column(1, t_max, D)
         )
-        mismatches = sum(1 for cell, total in pairs if cell != total)
         checks.append(_within("double_sum_mismatches", (D, t_max), mismatches, 0, 0))
     for D in range(2, bounds_d_max + 1):
         pairs = zip_longest(
@@ -456,9 +459,7 @@ def suite_thm32(
     checks = []
     mismatches = 0
     for t, row in census_rows(1, exact_t_max, 1):
-        expected = _binomial_row(t)[::2]
-        mismatches += sum(1 for a, b in zip(row, expected) if a != b)
-        mismatches += abs(len(row) - len(expected))
+        mismatches += _mismatches(row, _binomial_row(t)[::2])
     checks.append(
         _within("depth1_exact_sweep_mismatches", (exact_t_max,), mismatches, 0, 0)
     )

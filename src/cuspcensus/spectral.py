@@ -20,8 +20,9 @@ held as integers lo <= x * 2^k <= hi, and every operation rounds outward.
 - d_D, d_D * alpha_D^t, the two-excursion limit constant and bounds
   are interval expressions in that bracket, read 64 bits below its
   grid.  ``_refine`` doubles the bisection depth until one is
-  certified.  The hot loops, binary powering and the geometric sums,
-  run on plain integers with every product rounded outward.
+  certified.  The hot loop, binary powering, runs on plain integers
+  with every product rounded outward; the geometric sums of the bounds
+  are closed forms in one power of alpha_D.
 - ``_rounded`` refines one until both of its ends round to one value:
   the nearest integer, or by rounded_ratio a double or RATIO_DPS digits.
 
@@ -30,8 +31,8 @@ enclosures of alpha_D and d_D.  No floating point enters any certified
 path, and precision is decided on integers: Fractions are built only
 for returned values.
 
-The diagnostic term report at the bottom tracks the three sums behind
-the two-excursion asymptotics on the same intervals as the bounds, and
+The diagnostic term report at the bottom tracks the sums behind the
+two-excursion asymptotics on the same intervals as the bounds, and
 certifies nothing: each of its floats is one correctly rounded division
 of two interval midpoints.
 
@@ -69,9 +70,9 @@ class _Dyadic:
     The operands of +, -, * and / share the scale k, or are ints, each
     the exact point it names.  Every result is rounded outward to the
     grid of multiples of 2^-k, so it contains every pointwise result;
-    x >> n is x/2^n rounded the same way, and x ** t (for lo >= 0) is
-    binary powering with each product rounded outward.  Instances are
-    never changed after construction: cached ones are shared.
+    x ** t (for lo >= 0) is binary powering with each product rounded
+    outward.  Instances are never changed after construction: cached
+    ones are shared.
     """
 
     __slots__ = ("lo", "hi", "k")
@@ -126,9 +127,6 @@ class _Dyadic:
         low = min(q for q, _ in quotients)
         high = max(q + (r != 0) for q, r in quotients)
         return _Dyadic(low, high, self.k)
-
-    def __rshift__(self, n: int) -> _Dyadic:
-        return _Dyadic(self.lo >> n, -(-self.hi >> n), self.k)
 
     def __pow__(self, t: int) -> _Dyadic:
         if self.lo < 0:
@@ -304,7 +302,11 @@ def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosu
     steps = _steps_for(D, *_tolerance(tol))
     lo, hi = _bracket(D, steps)
     unit = 1 << (D - 1 + steps)
-    return AlphaEnclosure(D, Fraction(lo, unit), Fraction(hi, unit))
+    # _bracket has just certified the signs that AlphaEnclosure(...) would
+    # test again, so the fields are set past the frozen __setattr__
+    enclosure = object.__new__(AlphaEnclosure)
+    vars(enclosure).update(D=D, lo=Fraction(lo, unit), hi=Fraction(hi, unit))
+    return enclosure
 
 
 def _narrowed(
@@ -453,25 +455,6 @@ def _two_excursion_limit(D: int, alpha: _Dyadic, d: _Dyadic) -> _Dyadic:
     return d * d / (alpha**D * (alpha - 1))
 
 
-def _geometric_sums(a: int, k: int, up: bool) -> Iterator[tuple[int, int, int]]:
-    """G(N) = sum alpha^u, W(N) = sum (u+1) alpha^u and GG(N) = sum G(u),
-    u = 0..N, for N = 0, 1, 2, ... and alpha = a/2^k, as integers over
-    2^k.
-
-    Each power alpha^u is alpha^(u-1) * alpha rounded down, or up when
-    `up`; the sums of the rounded powers are exact.
-    """
-    power = g = w = gg = 1 << k
-    u = 0
-    while True:
-        yield g, w, gg
-        u += 1
-        power = _rescale(power * a, k, up)
-        g += power
-        w += (u + 1) * power
-        gg += g
-
-
 def bounds_two_excursions(t: int, D: int) -> tuple[Fraction, Fraction]:
     """Certified rationals sandwiching the count of compositions of t with
     exactly one part bigger than D.
@@ -497,31 +480,32 @@ def bounds_two_excursions_range(
     bounds_two_excursions(t, D) returns it.
 
     The t that share a bisection depth, 128 consecutive values, share one
-    pass over the geometric sums.  The generator holds that pass, so its
-    memory lasts only as long as the request.  The arguments are checked
-    at the call, before any bound is read.
+    enclosure of alpha_D and d_D; each t then costs one power of alpha_D
+    and a fixed number of interval operations, in memory O(1) per t.  The
+    arguments are checked at the call, before any bound is read.
     """
     check_least(t_lo=(t_lo, 1), D=(D, 2))
     return _bounds_range(t_lo, t_hi, D)
 
 
-def _excursion_terms(alpha: _Dyadic, d: _Dyadic) -> Callable[[int], tuple]:
-    """The three sums of the two-excursion count as a function of N, read
-    from one pass of _geometric_sums, so N must increase from call to
-    call; sums run over u = 0..N:
+def _excursion_terms(alpha: _Dyadic, d: _Dyadic) -> Callable[[int, _Dyadic], tuple]:
+    """The two sums of the two-excursion count as a function of N and of
+    power = alpha^(N+1), in closed form; sums run over u = 0..N:
 
         s1 = d^2 sum (u+1) alpha^u            (the dominant term)
-        s2 = d (alpha G(N) - (N+1))/(alpha-1) (left-of-run geometric part)
-        s3 = d GG(N)                          (right-of-run geometric part)
-    """
-    squared, ratio = d * d, d / (alpha - 1)
-    k = alpha.k
-    sums = enumerate(zip(_geometric_sums(alpha.lo, k, False), _geometric_sums(alpha.hi, k, True)))
+           = (d/(alpha-1))^2 (power ((N+1) alpha - (N+2)) + 1)
+        s2 = d sum G(u), G(u) = sum_{i<=u} alpha^i
+           = d alpha (power - 1)/(alpha-1)^2 - d (N+1)/(alpha-1)
 
-    def terms(n_terms: int) -> tuple:
-        reading = next(reading for n, reading in sums if n == n_terms)
-        g, w, gg = (_Dyadic(low, high, k) for low, high in zip(*reading))
-        return squared * w, ratio * (alpha * g - (n_terms + 1)), d * gg
+    s2 is the geometric part of either factor of a cell: the left and the
+    right factors run over the same powers.
+    """
+    ratio = d / (alpha - 1)
+    squared, cross = ratio * ratio, ratio * alpha / (alpha - 1)
+
+    def terms(n_terms: int, power: _Dyadic) -> tuple[_Dyadic, _Dyadic]:
+        s1 = squared * (power * (alpha * (n_terms + 1) - (n_terms + 2)) + 1)
+        return s1, cross * (power - 1) - ratio * (n_terms + 1)
 
     return terms
 
@@ -536,9 +520,9 @@ def _bounds_range(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, Fraction,
         if _quantized_steps(t) != depth:
             depth = _quantized_steps(t)
             k = depth + _GUARD_BITS
-            terms = _excursion_terms(*_enclosures(D, depth, k))
-        s1, s2, s3 = terms(n_terms)
-        half = (s2 + s3) >> 1
+            alpha, d = _enclosures(D, depth, k)
+            terms = _excursion_terms(alpha, d)
+        s1, half = terms(n_terms, alpha ** (n_terms + 1))
         # s4 = (N+1)(N+2)/8, the constant 1/4 per cell, exact over 2^k
         s4 = (n_terms + 1) * (n_terms + 2) << (k - 3)
         lower, upper = (s1 - half).lo + s4, (s1 + half).hi + s4
@@ -553,7 +537,8 @@ class TermReport:
     rows holds (t, ratio1, ratio2, ratio3) where ratio1 = term1/(t alpha^t)
     approaches term1_limit, and ratio2, ratio3 divide the two geometric
     cross terms by alpha^t (they stay bounded; only term1 carries the
-    leading t alpha^t growth).
+    leading t alpha^t growth).  The cross terms sum the left and the right
+    factors over the same powers, so ratio2 and ratio3 are one value.
     """
 
     D: int
@@ -568,14 +553,15 @@ _REPORT_STEPS = 128  # bisection depth of the term report
 def excursion_term_report(D: int, t_max: int) -> TermReport:
     """Tabulate the three term ratios for t = 1..t_max; diagnostic only.
 
-    The terms are those of _excursion_terms, and alpha^t is a running
-    product, on the enclosures of alpha_D and d_D after 128 bisection
-    steps, over 2^(128 + 64).
+    The terms are those of _excursion_terms, and alpha^t and alpha^(t-D)
+    are running products, on the enclosures of alpha_D and d_D after 128
+    bisection steps, over 2^(128 + 64).
     Each float is one correctly rounded division of interval midpoints.
     Relative widths stay below about t 2^-127, so it is the double nearest
     the true ratio unless that ratio lies that close to a rounding tie.
-    The integers grow like alpha^t, so the cost is quadratic in t_max: at
-    D = 2 on one Xeon core, 0.06 s at t_max = 2000 and 6 s at 50 000.
+    A row costs a fixed number of interval operations, but the integers
+    grow like alpha^t, so the cost is quadratic in t_max: at D = 2 on one
+    Xeon core, 0.03 s at t_max = 2000 and 4 s at 50 000.
     """
     check_least(D=(D, 2), t_max=(t_max, 1))
     k = _REPORT_STEPS + _GUARD_BITS
@@ -583,13 +569,14 @@ def excursion_term_report(D: int, t_max: int) -> TermReport:
     limit = _two_excursion_limit(D, alpha, d)
     terms = _excursion_terms(alpha, d)
     rows = []
-    power = alpha  # alpha^t
+    power = lead = alpha  # alpha^t, and alpha^(t-D) from t = D+1 on
     for t in range(1, t_max + 1):
         if t <= D:  # no admissible run length
             rows.append((t, 0.0, 0.0, 0.0))
         else:
-            s1, s2, s3 = (x.lo + x.hi for x in terms(t - D - 1))
+            s1, s2 = (x.lo + x.hi for x in terms(t - D - 1, lead))
             scale = power.lo + power.hi
-            rows.append((t, s1 / (t * scale), s2 / scale, s3 / scale))
+            rows.append((t, s1 / (t * scale), s2 / scale, s2 / scale))
+            lead = lead * alpha
         power = power * alpha
     return TermReport(D, t_max, (limit.lo + limit.hi) / (2 << k), tuple(rows))

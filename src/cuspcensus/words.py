@@ -118,10 +118,12 @@ class GroupWord:
             for s in self.syllables:
                 if s not in ALPHABET:
                     raise ValueError(f"invalid syllable {s!r}, expected one of {ALPHABET}")
+        if isinstance(self.syllables, str):  # a string is held as its letters
+            object.__setattr__(self, "syllables", tuple(self.syllables))
 
     @classmethod
     def from_string(cls, text: str) -> GroupWord:
-        return cls(tuple(text))
+        return cls(text)
 
     def __str__(self) -> str:
         return "".join(self.syllables) if self.syllables else "1"

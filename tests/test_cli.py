@@ -183,6 +183,9 @@ def test_bounds_sandwich_rendered_outward():
      "6a2b6399e2721f9bfed1d2cdaff6418df23e8445924ae9f7005709e1b2ce402e"),
     (["enumerate", "--t", "10", "--n", "2", "--D", "2", "--format", "json-lines"],
      "3910a8a829abbf915256ccaf8b54195cc651d745937ddf2665bd3f5addd5c2d3"),
+    # one bound far out: the closed forms need one power of alpha per t
+    (["bounds", "--t", "20000", "--D", "2"],
+     "ff91cfa3434162dcc84caeed418a9a43b03e5ec25e868392e2531bfafdc16e1a"),
 ])
 def test_bounds_output_pinned(argv, digest):
     # the printed bounds, growth rates and constants are certified

@@ -14,6 +14,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cuspcensus import spectral
 from cuspcensus.compositions import count_bounded, count_exact_excursions
 from cuspcensus.spectral import (
     AlphaEnclosure,
@@ -21,6 +22,7 @@ from cuspcensus.spectral import (
     PrecisionExhausted,
     _bracket,
     _Dyadic,
+    _excursion_terms,
     _power,
     _scaled_poly_value,
     _steps_for,
@@ -94,15 +96,6 @@ def test_interval_arithmetic_encloses_points(a, b, c, d, x, y, n):
         assert encloses(X / n, x / n)
     if X.lo >= 0:
         assert encloses(X ** abs(n), x ** abs(n))
-
-
-@given(grid_points, grid_points, st.integers(0, 40))
-def test_interval_outward_contains(a, b, bits):
-    # x >> bits is x / 2^bits rounded outward to the grid, by under one step
-    X = interval_around(a, b)
-    out = X >> bits
-    assert out.lo << bits <= X.lo and X.hi <= out.hi << bits
-    assert out.hi - out.lo <= Fraction(X.hi - X.lo, 1 << bits) + 2
 
 
 def test_interval_division_by_zero_straddler():
@@ -480,6 +473,28 @@ def test_solve_alpha_brackets_a_sign_change(D, digits):
     assert 0 < enc.hi - enc.lo <= Fraction(1, 10**digits)
 
 
+@pytest.mark.parametrize("D, digits", [(2, 9), (3, 40), (7, 120), (12, 200)])
+def test_solve_alpha_checks_the_signs_once(monkeypatch, D, digits):
+    # the bracket certifies the sign change of p_D; solve_alpha builds its
+    # enclosure without evaluating p_D again, and the result passes the
+    # public constructor's full validation
+    calls = []
+    poly_value = spectral._scaled_poly_value
+
+    def counted(*args):
+        calls.append(args)
+        return poly_value(*args)
+
+    monkeypatch.setattr(spectral, "_scaled_poly_value", counted)
+    tol = Fraction(1, 10**digits)
+    _bracket(D, _steps_for(D, tol.numerator, tol.denominator))
+    bracket_calls = len(calls)
+    calls.clear()
+    enc = solve_alpha(D, tol)
+    assert len(calls) == bracket_calls
+    assert enc == AlphaEnclosure(D, enc.lo, enc.hi)
+
+
 def test_precision_exhausted_is_runtime_error():
     assert issubclass(PrecisionExhausted, RuntimeError)
 
@@ -527,6 +542,24 @@ def test_bounds_range_matches_single_t():
         list(bounds_two_excursions_range(0, 5, 2))
     with pytest.raises(ValueError):
         list(bounds_two_excursions_range(1, 5, 1))
+
+
+@settings(deadline=None)
+@given(st.integers(1, (1 << 64) - 1), st.integers(1, 1 << 64), st.integers(0, 40))
+@example(1, 1 << 64, 40)  # alpha just above 1
+@example((1 << 64) - 1, 1, 0)  # alpha just below 2, N = 0
+def test_excursion_terms_enclose_the_sums(a, b, n_terms):
+    # independent of both the closed forms and a running sum: on point
+    # intervals alpha = 1 + a/2^64 and d = b/2^64, the two sums, added up
+    # term by term in exact rationals, lie in the intervals of terms
+    k = 64
+    alpha, d = _Dyadic((1 << k) + a, (1 << k) + a, k), _Dyadic(b, b, k)
+    x, y = Fraction(alpha.lo, 1 << k), Fraction(b, 1 << k)
+    powers = [x**u for u in range(n_terms + 1)]
+    s1 = y * y * sum((u + 1) * power for u, power in enumerate(powers))
+    s2 = y * sum(sum(powers[: u + 1]) for u in range(n_terms + 1))
+    terms = _excursion_terms(alpha, d)(n_terms, alpha ** (n_terms + 1))
+    assert encloses(terms[0], s1) and encloses(terms[1], s2)
 
 
 def test_bounds_match_naive_double_sum():

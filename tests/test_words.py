@@ -286,6 +286,18 @@ def test_reduce_of_w_winv_is_identity(w):
     assert str(reduce_word(w * w.inverse())) == "1"
 
 
+def test_word_from_a_string_is_its_letters():
+    from cuspcensus.matrices import evaluate
+
+    word, letters = GroupWord("abaB"), GroupWord(("a", "b", "a", "B"))
+    assert word == letters and hash(word) == hash(letters)
+    assert word.syllables == ("a", "b", "a", "B")
+    assert evaluate(word) == evaluate(letters)
+    assert GroupWord("ab") * GroupWord(("a",)) == GroupWord("aba")
+    with pytest.raises(ValueError, match="'x'"):
+        GroupWord("abx")
+
+
 def test_inverse_reverses_and_flips():
     w = GroupWord.from_string("abaB")
     assert str(w.inverse()) == "baBa"
