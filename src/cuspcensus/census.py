@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._contract import check_least
@@ -144,14 +144,6 @@ def excursion_census(t: int, D: int) -> list[CensusRow]:
     return [CensusRow(t, D, n, count, "dp") for n, count in enumerate(census_row(t, D))]
 
 
-_SIGN_OF_BIT = {"0": 1, "1": -1}
-
-
-def _signs_of_mask(t: int, mask: int) -> tuple[int, ...]:
-    """e_{i+1} = -1 where bit i of mask is set, for i < t."""
-    return tuple(map(_SIGN_OF_BIT.__getitem__, format(mask, f"0{t}b")[::-1]))
-
-
 def _run_lengths(t: int, mask: int) -> tuple[int, ...]:
     """Sorted run lengths of the sign tuple of mask: a run ends after
     e_{i+1} wherever bit i of mask ^ (mask >> 1) is set, i < t - 1."""
@@ -190,8 +182,8 @@ def conjugacy_class_sizes(t: int) -> Counter:
     if t > CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
     return Counter(
-        str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(_signs_of_mask(t, m))).word))
-        for m in range(1 << t)
+        str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(signs)).word))
+        for signs in product((1, -1), repeat=t)
     )
 
 
@@ -554,8 +546,8 @@ def suite_matrices(t_max: int = 12) -> VerificationReport:
     ]
     for t in range(1, t_max + 1):
         bad = 0
-        for mask in range(1 << t):
-            word = reciprocal_word(EpsilonSeq(_signs_of_mask(t, mask))).word
+        for signs in product((1, -1), repeat=t):
+            word = reciprocal_word(EpsilonSeq(signs)).word
             # the full word is evaluated once, for both checks
             w = evaluate(word)
             if classify(w) != "hyperbolic" or not factors_through_involution(word, w):

@@ -13,8 +13,10 @@ Every :class:`Mat2Z` checks its determinant when it is built.  The
 product of two of them builds a new one, so a chain of products checks
 each step; :func:`evaluate` instead folds a word four letters at a time,
 on plain integers, from a table of the products of every word of one to
-four letters built at import, and builds one matrix at the end, so the
-determinant of each evaluated word is checked once, on the whole product.
+four letters built at import and keyed by the string of those letters, so
+that a fold step looks up a slice of the word's string.  It builds one
+matrix at the end, so the determinant of each evaluated word is checked
+once, on the whole product.
 """
 
 from __future__ import annotations
@@ -73,14 +75,14 @@ _ENTRIES = {
 _CHUNK = 4
 
 
-def _build_chunks() -> dict[tuple[str, ...], tuple[int, int, int, int]]:
+def _build_chunks() -> dict[str, tuple[int, int, int, int]]:
     """The entries of the product of every word of 1 to _CHUNK letters,
-    keyed by its syllables (3 + 9 + 27 + 81 = 120 words)."""
-    chunks = {(syllable,): g for syllable, g in _ENTRIES.items()}
+    keyed by the string of its letters (3 + 9 + 27 + 81 = 120 words)."""
+    chunks = dict(_ENTRIES)
     level = dict(chunks)
     for _ in range(_CHUNK - 1):
         level = {
-            word + (syllable,): (
+            word + syllable: (
                 p * gp + q * gr, p * gq + q * gs, r * gp + s * gr, r * gq + s * gs
             )
             for word, (p, q, r, s) in level.items()
@@ -134,19 +136,20 @@ def evaluate(w: GroupWord) -> PSL2Element:
 
     Free reduction commutes with evaluation, so the word need not be
     reduced.  The product is folded on four integers, the entries of the
-    running matrix, one step per four syllables (fewer in the last step),
-    each step one product with a table entry; one :class:`Mat2Z` is built
-    at the end, so the determinant is checked once, on the whole product.
+    running matrix, one step per four letters (fewer in the last step),
+    each step one product with the table entry of a slice of the word's
+    string; one :class:`Mat2Z` is built at the end, so the determinant is
+    checked once, on the whole product.
 
     >>> evaluate(GroupWord.from_string("aa")).is_identity()
     True
     >>> evaluate(GroupWord.from_string("abaB")).trace_abs
     3
     """
-    syllables = w.syllables
+    letters = w.letters
     p, q, r, s = 1, 0, 0, 1
-    for i in range(0, len(syllables), _CHUNK):
-        gp, gq, gr, gs = _CHUNKS[syllables[i : i + _CHUNK]]
+    for i in range(0, len(letters), _CHUNK):
+        gp, gq, gr, gs = _CHUNKS[letters[i : i + _CHUNK]]
         p, q, r, s = p * gp + q * gr, p * gq + q * gs, r * gp + s * gr, r * gq + s * gs
     return PSL2Element.of(Mat2Z(p, q, r, s))
 
@@ -191,7 +194,7 @@ def factors_through_involution(word: GroupWord, value: PSL2Element) -> bool:
     [[P_q, -P_p], [P_s, -P_r]]; both products are compared entry by entry,
     up to sign.
     """
-    x = evaluate(GroupWord(word.syllables[: len(word.syllables) // 2])).rep
+    x = evaluate(GroupWord(word.letters[: len(word) // 2])).rep
     u = x.p * x.r + x.q * x.s
     p = Mat2Z(u, -(x.p * x.p + x.q * x.q), x.r * x.r + x.s * x.s, -u)
     square = (

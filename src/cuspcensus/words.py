@@ -16,14 +16,14 @@ projectivization identifying a tuple with its negation, run-length
 extraction, free-product reduction, and a canonical form deciding cyclic
 conjugacy.
 
-Throughout, the syllable ``b^-1`` is written ``"B"``.  The group law is
-stated once, in two tables: ``_PRODUCT`` multiplies two letters of one free
-factor (``a^2 = b^3 = 1``) and ``_INVERSE`` inverts letters.
+Throughout, the syllable ``b^-1`` is written ``"B"``, and a word holds its
+letters as one string, which every operation here reads and builds.  The
+group law is stated once, in two tables: ``_PRODUCT`` multiplies two letters
+of one free factor (``a^2 = b^3 = 1``) and ``_INVERSE`` inverts letters.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
@@ -32,7 +32,7 @@ from ._contract import check_least
 
 ALPHABET = ("a", "b", "B")
 
-_SYLLABLES = frozenset(ALPHABET)
+_LETTERS = "".join(ALPHABET)
 _SIGNS = frozenset((1, -1))
 
 # The product of two letters of one free factor: a^2 = 1 and b^3 = 1.
@@ -41,10 +41,6 @@ _INVERSE = str.maketrans("bB", "Bb")
 
 # The template's two syllables for a sign.
 _PAIR = {1: "ab", -1: "aB"}
-
-# A word is reduced exactly when no two adjacent syllables lie in the same
-# free factor.
-_REDUCIBLE = re.compile("|".join(_PRODUCT))
 
 
 class NotNormalForm(ValueError):
@@ -104,42 +100,54 @@ class ProjectiveEpsilonSeq:
 
 @dataclass(frozen=True)
 class GroupWord:
-    """A word over {a, b, b^-1}, not necessarily reduced.
+    """A word over {a, b, b^-1}, not necessarily reduced, held as the string
+    of its letters; it compares and hashes by that string.  Any other
+    iterable of letters is read as the string they spell.
 
     >>> str(GroupWord(("a", "b", "a", "B")))
     'abaB'
+    >>> GroupWord(iter("ab")) == GroupWord("ab")
+    True
     """
 
-    syllables: tuple[str, ...]
+    letters: str
 
     def __post_init__(self):
-        if not _all_in(_SYLLABLES, self.syllables):
-            # only to name the first bad syllable
-            for s in self.syllables:
-                if s not in ALPHABET:
-                    raise ValueError(f"invalid syllable {s!r}, expected one of {ALPHABET}")
-        if isinstance(self.syllables, str):  # a string is held as its letters
-            object.__setattr__(self, "syllables", tuple(self.syllables))
+        letters = self.letters
+        # a string of valid letters strips to nothing, in one C-level pass
+        if isinstance(letters, str) and not letters.strip(_LETTERS):
+            return
+        letters = list(letters)
+        for s in letters:
+            if s not in ALPHABET:
+                raise ValueError(f"invalid syllable {s!r}, expected one of {ALPHABET}")
+        object.__setattr__(self, "letters", "".join(letters))
+
+    @property
+    def syllables(self) -> tuple[str, ...]:
+        return tuple(self.letters)
 
     @classmethod
     def from_string(cls, text: str) -> GroupWord:
         return cls(text)
 
     def __str__(self) -> str:
-        return "".join(self.syllables) if self.syllables else "1"
+        return self.letters or "1"
 
     def __len__(self) -> int:
-        return len(self.syllables)
+        return len(self.letters)
 
     def __mul__(self, other: GroupWord) -> GroupWord:
         """Concatenation, without reduction."""
-        return GroupWord(self.syllables + other.syllables)
+        return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> GroupWord:
-        return GroupWord(tuple("".join(self.syllables)[::-1].translate(_INVERSE)))
+        return GroupWord(self.letters[::-1].translate(_INVERSE))
 
     def is_reduced(self) -> bool:
-        return _REDUCIBLE.search("".join(self.syllables)) is None
+        """No two adjacent letters lie in one free factor: no pair that
+        ``_PRODUCT`` multiplies occurs in the letters."""
+        return not any(map(self.letters.__contains__, _PRODUCT))
 
 
 @dataclass(frozen=True)
@@ -187,7 +195,7 @@ def reciprocal_word(eps: EpsilonSeq) -> ReciprocalNormalForm:
     half = "".join(map(_PAIR.__getitem__, eps.signs))
     # the second half is a x^-1 a for the first half x
     text = half + "a" + half[:0:-1].translate(_INVERSE)
-    return ReciprocalNormalForm(eps, GroupWord(tuple(text)))
+    return ReciprocalNormalForm(eps, GroupWord(text))
 
 
 def epsilon_of(w: GroupWord) -> EpsilonSeq:
@@ -196,7 +204,7 @@ def epsilon_of(w: GroupWord) -> EpsilonSeq:
     Inverse of :func:`reciprocal_word`.  Raises :class:`NotNormalForm` when
     the word does not match the template exactly.
     """
-    text = "".join(w.syllables)
+    text = w.letters
     n = len(text)
     if n == 0 or n % 4 != 0:
         raise NotNormalForm(f"syllable length {n} is not a positive multiple of 4")
@@ -241,9 +249,9 @@ def reduce_word(w: GroupWord) -> GroupWord:
 
     Replaces two adjacent letters of one free factor by their product in
     ``_PRODUCT``.  Idempotent and length-nonincreasing.  A word that is
-    already reduced (one regular-expression scan of its letters, see
+    already reduced (one substring test per pair in ``_PRODUCT``, see
     :meth:`GroupWord.is_reduced`) is returned as it is; any other word is
-    reduced syllable by syllable on a stack.
+    reduced letter by letter on a stack.
 
     >>> str(reduce_word(GroupWord.from_string("aa")))
     '1'
@@ -253,13 +261,13 @@ def reduce_word(w: GroupWord) -> GroupWord:
     if w.is_reduced():
         return w
     stack: list[str] = []
-    for s in w.syllables:
+    for s in w.letters:
         # the stack is a reduced prefix, which one merge keeps reduced
         if stack and (stack[-1] == "a") == (s == "a"):
             stack.extend(_PRODUCT[stack.pop() + s])
         else:
             stack.append(s)
-    return GroupWord(tuple(stack))
+    return GroupWord("".join(stack))
 
 
 def _cyclic_reduce(text: str) -> str:
@@ -288,9 +296,9 @@ def canonical_cyclic_form(w: GroupWord) -> GroupWord:
     >>> str(canonical_cyclic_form(GroupWord.from_string("BabaBa")))
     'abaBaB'
     """
-    text = _cyclic_reduce("".join(reduce_word(w).syllables))
+    text = _cyclic_reduce(reduce_word(w).letters)
     if len(text) <= 1:
-        return GroupWord(tuple(text))
+        return GroupWord(text)
     letters = text[1::2] if text[0] == "a" else text[::2]
     k = letters.find("B")
     # b-letters all equal read the same from every start
@@ -307,4 +315,4 @@ def canonical_cyclic_form(w: GroupWord) -> GroupWord:
             best = max(best, doubled[i : i + n])
             i = letters.find(run, i + len(run))
         letters = best
-    return GroupWord(tuple("a" + "a".join(letters)))
+    return GroupWord("a" + "a".join(letters))

@@ -294,11 +294,23 @@ def test_binomial_row_equals_math_comb():
         assert census._binomial_row(t) == [math.comb(t, k) for k in range(t + 1)]
 
 
-def test_signs_of_mask_match_the_per_bit_reading():
-    for t in range(1, 13):
-        for mask in range(1 << t):
-            expected = tuple(-1 if mask >> i & 1 else 1 for i in range(t))
-            assert census._signs_of_mask(t, mask) == expected
+def test_word_suites_visit_every_sign_tuple_once(monkeypatch):
+    # the bijection and matrices suites each build the normal form of every
+    # one of the 2^t sign tuples, and of none twice
+    seen = []
+    build = census.reciprocal_word
+    monkeypatch.setattr(census, "reciprocal_word", lambda eps: seen.append(eps.signs) or build(eps))
+
+    def every(t):
+        return sorted(itertools.product((1, -1), repeat=t))
+
+    for t in range(1, 9):
+        seen.clear()
+        conjugacy_class_sizes(t)
+        assert sorted(seen) == every(t)
+    seen.clear()
+    assert suite_matrices(6).passed
+    assert sorted(seen) == sorted(s for t in range(1, 7) for s in every(t))
 
 
 def test_matrices_suite_evaluates_each_word_once(monkeypatch):

@@ -1,9 +1,11 @@
 """Tests for matrices: generators, PSL canonicalization, classification,
 reciprocity."""
 
+import ast
 import functools
 import itertools
 import operator
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -241,3 +243,44 @@ def test_reciprocal_element_conjugate_to_inverse():
         p = x * a * x.inverse()
         w = evaluate(nf.word)
         assert p * w * p.inverse() == w.inverse()
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cuspcensus"
+
+
+def test_matrices_route_shares_only_the_word_type_with_words():
+    # suite_matrices checks the word layer against matrices' own products,
+    # so evaluation may take the GroupWord value type from words and
+    # nothing of its group law, directly or through a helper, class or
+    # table of matrices
+    tree = ast.parse((PACKAGE / "matrices.py").read_text(encoding="utf-8"))
+    word_names = {"words", "_PRODUCT", "_INVERSE", "reduce_word", "canonical_cyclic_form"}
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "words":
+            word_names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+    assert {"GroupWord", "reciprocal_word"} <= word_names
+    for name in ("evaluate", "factors_through_involution"):
+        used, reached, todo = set(), set(), [name]
+        while todo:
+            reached.add(top := todo.pop())
+            for node in ast.walk(defs[top]):
+                used.add(getattr(node, "id", getattr(node, "attr", None)))
+                if isinstance(node, ast.Name) and node.id in defs.keys() - reached:
+                    todo.append(node.id)
+        assert {"_CHUNKS", "_build_chunks", "PSL2Element", "Mat2Z"} <= reached
+        assert "GroupWord" in used and "letters" in used
+        assert not used & (word_names - {"GroupWord"}), (name, used & word_names)
+    tree = ast.parse((PACKAGE / "words.py").read_text(encoding="utf-8"))
+    imported = {
+        part
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for part in (getattr(node, "module", None), *(alias.name for alias in node.names))
+    }
+    assert not any("matrices" in (part or "") for part in imported), imported

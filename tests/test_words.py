@@ -79,8 +79,14 @@ def test_eps_validation():
 
 
 def test_invalid_items_keep_their_messages():
-    # a set test decides validity; the message still names the bad input
-    for syllables, bad in ((("a", "c", "b"), "'c'"), (("a", ["b"]), "['b']"), (("b", 1), "1")):
+    # a one-pass test decides validity; the message still names the bad
+    # input, and items that would spell valid letters once joined are not
+    # letters themselves
+    cases = (
+        (("a", "c", "b"), "'c'"), (("a", ["b"]), "['b']"), (("b", 1), "1"),
+        (("ab",), "'ab'"), (("",), "''"), (("a", "bB"), "'bB'"),
+    )
+    for syllables, bad in cases:
         with pytest.raises(ValueError) as info:
             GroupWord(syllables)
         assert str(info.value) == f"invalid syllable {bad}, expected one of ('a', 'b', 'B')"
@@ -281,6 +287,15 @@ def test_reduce_word_matches_stack_reference_on_every_short_word():
             assert letters(reduce_word(GroupWord(syllables))) == stack_reduced("".join(syllables))
 
 
+def test_is_reduced_matches_stack_reference_on_every_short_word():
+    # on a reduced word the stack in reduce_word gives back the same letters,
+    # so a false "not reduced" goes unseen in its tests
+    for n in range(9):
+        for syllables in itertools.product(ALPHABET, repeat=n):
+            text = "".join(syllables)
+            assert GroupWord(text).is_reduced() == (stack_reduced(text) == text), text
+
+
 @given(raw_words)
 def test_reduce_of_w_winv_is_identity(w):
     assert str(reduce_word(w * w.inverse())) == "1"
@@ -296,6 +311,21 @@ def test_word_from_a_string_is_its_letters():
     assert GroupWord("ab") * GroupWord(("a",)) == GroupWord("aba")
     with pytest.raises(ValueError, match="'x'"):
         GroupWord("abx")
+
+
+def test_word_from_any_iterable_is_the_word_of_its_string():
+    from cuspcensus.matrices import evaluate
+
+    word = GroupWord("abaB")
+    for same in (GroupWord(["a", "b", "a", "B"]), GroupWord(iter("abaB")),
+                 GroupWord(c for c in "abaB")):
+        assert same == word and hash(same) == hash(word)
+        assert str(same) == "abaB" and same.syllables == word.syllables
+        assert evaluate(same) == evaluate(word)
+        assert same * same == word * word
+    assert str(GroupWord(iter(()))) == "1"
+    with pytest.raises(ValueError, match="'x'"):
+        GroupWord(c for c in "axb")
 
 
 def test_inverse_reverses_and_flips():
