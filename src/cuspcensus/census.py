@@ -12,8 +12,9 @@ Counts are produced by two unrelated routes and compared cell by cell:
   than D;
 * the oracle route tallies all 2^t sign tuples as bit masks (bit i set
   when e_{i+1} = -1): it projectivizes each by complementing the masks
-  with bit 0 set, verifies the two-to-one collapse, and reads the run
-  lengths off the bits where neighbouring signs differ.
+  with bit 0 set, counts the class sizes in a byte table of 2^t bytes,
+  verifies the two-to-one collapse, and reads the run lengths off the
+  bits where neighbouring signs differ.
 
 Asymptotic statements are limits, so they are verified as convergence
 checks with explicit tolerances; every tolerance appears in the emitted
@@ -29,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import compress, product, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._contract import check_least
@@ -165,10 +166,19 @@ def _oracle_tally(t: int) -> tuple[Counter, Counter]:
     when bit 0 is set, so the representative starts with +1).  Returns
     how many classes have each size, and the classes tallied by their
     sorted run lengths, one entry per partition of t.  Cached per t.
+
+    The class sizes are counted in a byte table, one byte per mask
+    (2^t bytes), indexed by the representative; a size past 255 raises
+    ValueError rather than wrapping.
     """
     full = (1 << t) - 1
-    classes = Counter(m ^ full if m & 1 else m for m in range(1 << t))
-    return Counter(classes.values()), Counter(_run_lengths(t, m) for m in classes)
+    hits = bytearray(1 << t)
+    for m in range(1 << t):
+        hits[m ^ full if m & 1 else m] += 1
+    return (
+        Counter(filter(None, hits)),
+        Counter(_run_lengths(t, m) for m in compress(range(1 << t), hits)),
+    )
 
 
 def conjugacy_class_sizes(t: int) -> Counter:

@@ -58,7 +58,8 @@ def _all_in(allowed: frozenset, items) -> bool:
 
 @dataclass(frozen=True)
 class EpsilonSeq:
-    """A nonempty tuple of signs, each +1 or -1.
+    """A nonempty tuple of signs, each +1 or -1; any other iterable of
+    signs is read as the tuple it yields.
 
     The tuple ``(e_1, ..., e_t)`` encodes the reciprocal word of syllable
     length ``4t``; see :func:`reciprocal_word`.
@@ -67,6 +68,8 @@ class EpsilonSeq:
     signs: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.signs) is not tuple:
+            object.__setattr__(self, "signs", tuple(self.signs))
         if not self.signs:
             raise ValueError("sign tuple must be nonempty")
         if not _all_in(_SIGNS, self.signs):
@@ -165,11 +168,14 @@ class ReciprocalNormalForm:
 @dataclass(frozen=True)
 class Composition:
     """An ordered tuple of positive integers; the empty tuple is the unique
-    composition of 0."""
+    composition of 0.  Any other iterable of parts is read as the tuple it
+    yields."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.parts) is not tuple:
+            object.__setattr__(self, "parts", tuple(self.parts))
         if any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive, got {self.parts!r}")
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Context, Decimal
@@ -132,6 +133,60 @@ def test_oracle_census_runs_no_word_route(monkeypatch):
     assert [(r.t, r.D, r.n, r.count) for r in oracle_census(12, 2)] == [
         (r.t, r.D, r.n, r.count) for r in excursion_census(12, 2)
     ]
+
+
+def test_oracle_census_runs_no_dp_route(monkeypatch):
+    # nor does it read the counting kernel: count_all, the size of the
+    # two-to-one check, is the one name of compositions it may call
+    from cuspcensus import compositions
+
+    expected = [(r.t, r.D, r.n, r.count) for r in excursion_census(12, 2)]
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the oracle reached the DP route")
+
+    names = [
+        name for name, value in vars(census).items()
+        if getattr(value, "__module__", None) == compositions.__name__
+        and name != "count_all"
+    ]
+    assert "census_row" in names and "census_rows" in names
+    for name in names:
+        monkeypatch.setattr(census, name, no_dp)
+    census._oracle_tally.cache_clear()
+    try:
+        assert [(r.t, r.D, r.n, r.count) for r in oracle_census(12, 2)] == expected
+    finally:
+        census._oracle_tally.cache_clear()
+
+
+def test_oracle_tally_is_two_to_one():
+    for t in range(1, 13):
+        assert census._oracle_tally(t)[0] == Counter({2: 2 ** (t - 1)})
+
+
+def test_oracle_census_rejects_a_collapse_that_is_not_two_to_one(monkeypatch):
+    # the class sizes are compared with count_all; one class too many
+    # must stop the census before any row is built
+    real = census.count_all
+    monkeypatch.setattr(census, "count_all", lambda t: real(t) + 1)
+    with pytest.raises(RuntimeError, match="projectivization is not two-to-one at t=5"):
+        oracle_census(5, 1)
+
+
+def test_oracle_counts_its_classes_in_a_byte_table():
+    # a cold oracle at t = 16 holds one byte per mask: the Counter of 2^15
+    # class keys it replaced peaked at about 2.5 MB traced
+    census._oracle_tally.cache_clear()
+    tracemalloc.start()
+    try:
+        rows = oracle_census(16, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        census._oracle_tally.cache_clear()
+    assert [r.count for r in rows] == [r.count for r in excursion_census(16, 1)]
+    assert peak < 500_000, peak
 
 
 def test_bijection_suite_reports_an_unpaired_word_route(monkeypatch):

@@ -98,6 +98,22 @@ def test_invalid_items_keep_their_messages():
     assert EpsilonSeq((1, -1)).t == 2
 
 
+def test_eps_reads_any_iterable_of_signs():
+    # a list or an iterator of signs is held as the tuple it yields: it
+    # compares and hashes as that tuple, and an iterator is read once,
+    # before it is validated
+    e = EpsilonSeq((1, -1))
+    assert EpsilonSeq([1, -1]) == e
+    assert hash(EpsilonSeq([1, -1])) == hash(e)
+    assert EpsilonSeq(iter((1, -1))).t == 2
+    assert EpsilonSeq(s for s in (1, -1)).signs == (1, -1)
+    with pytest.raises(ValueError) as info:
+        EpsilonSeq(iter((1, 2)))
+    assert str(info.value) == "signs must be +1 or -1, got (1, 2)"
+    with pytest.raises(ValueError):
+        EpsilonSeq(iter(()))
+
+
 def test_eps_negate_involution():
     e = EpsilonSeq((1, -1, -1, 1))
     assert e.negate().signs == (-1, 1, 1, -1)
@@ -234,6 +250,16 @@ def test_composition_validation():
     with pytest.raises(ValueError):
         Composition((2, 0, 1))
     assert Composition(()).total == 0
+
+
+def test_composition_reads_any_iterable_of_parts():
+    c = Composition((1, 2))
+    assert Composition([1, 2]) == c
+    assert hash(Composition([1, 2])) == hash(c)
+    assert Composition(iter((1, 2))).total == 3
+    assert Composition(p for p in (1, 2)).parts == (1, 2)
+    with pytest.raises(ValueError):
+        Composition(iter((1, 0)))
 
 
 def test_excursion_parts():
