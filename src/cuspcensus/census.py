@@ -35,7 +35,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ._contract import check_least
 from .compositions import (
-    binomial,
     census_column,
     census_row,
     census_rows,
@@ -233,6 +232,21 @@ def _check_t_list(t_list: Sequence[int]) -> None:
     check_least(**{"t_list[0]": (t_list[0], 1)})
 
 
+def _convergence_checks(name, final, key, errors, tolerance) -> list[Check]:
+    """The checks of one convergence along its (t, error) pairs, ascending
+    in t: for each step, name_decreases (the error shrinks strictly), or
+    name_stays_zero when both errors are 0; then final, the last error
+    within tolerance of 0.  key leads the parameters of every check."""
+    checks = [
+        _within(f"{name}_stays_zero", (key, t1, t2), 0, 0, 0) if e1 == e2 == 0
+        else _below(f"{name}_decreases", (key, t1, t2), e2, e1)
+        for (t1, e1), (t2, e2) in zip(errors, errors[1:])
+    ]
+    t_last, e_last = errors[-1]
+    checks.append(_within(final, (key, t_last), e_last, 0, tolerance))
+    return checks
+
+
 def verify_theorem_2n_depth1(
     n: int,
     t_list: Sequence[int],
@@ -240,28 +254,21 @@ def verify_theorem_2n_depth1(
 ) -> VerificationReport:
     """At depth 1: the census count equals C(t, 2n) exactly, and
     C(t,2n)/t^{2n} converges to 1/(2n)! with the deviation shrinking along
-    t_list and below tolerance at its last entry."""
+    t_list and below tolerance at its last entry.  The cells are checked
+    against math.comb, and the limit is spectral.limit_constant's exact one."""
     check_least(n=(n, 0))
     _check_t_list(t_list)
+    limit = limit_constant("depth_one_2n", n).midpoint()
     checks = []
     deviations = []
-    factorial = math.factorial(2 * n)
     for t in t_list:
         count = count_exact_excursions(t, n, 1)
         checks.append(
-            _within("depth1_count_is_binomial", (t, n), count, binomial(t, 2 * n), 0)
+            _within("depth1_count_is_binomial", (t, n), count, math.comb(t, 2 * n), 0)
         )
-        # exact rational deviation of the ratio from its limit 1/(2n)!
-        deviations.append((t, abs(Fraction(count * factorial, t ** (2 * n)) - 1)))
-    for (t1, d1), (t2, d2) in zip(deviations, deviations[1:]):
-        if d1 == d2 == 0:
-            checks.append(_within("deviation_stays_zero", (n, t1, t2), 0, 0, 0))
-        else:
-            checks.append(_below("deviation_decreases", (n, t1, t2), d2, d1))
-    t_last, dev_last = deviations[-1]
-    checks.append(
-        _within("final_deviation", (n, t_last), dev_last, 0, tolerance)
-    )
+        # exact rational deviation of the ratio from its limit
+        deviations.append((t, abs(Fraction(count, t ** (2 * n)) / limit - 1)))
+    checks += _convergence_checks("deviation", "final_deviation", n, deviations, tolerance)
     return VerificationReport(f"depth1_excursions_n={n}", tuple(checks))
 
 
@@ -288,14 +295,7 @@ def verify_theorem_two_excursions(
         (t, abs(_ratio_to_limit(count, t, alpha.midpoint()) - limit) / limit)
         for t, count in census_column(t_list[0], t_list[-1], 1, D) if t in wanted
     ]
-    checks = [
-        _below("error_decreases", (D, t1, t2), e2, e1)
-        for (t1, e1), (t2, e2) in zip(errors, errors[1:])
-    ]
-    t_last, err_last = errors[-1]
-    checks.append(
-        _within("final_relative_error", (D, t_last), err_last, 0, tolerance)
-    )
+    checks = _convergence_checks("error", "final_relative_error", D, errors, tolerance)
     return VerificationReport(f"two_excursions_D={D}", tuple(checks))
 
 
@@ -331,7 +331,7 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
         Table1Row("all", t, None, None, count_all(t), None),
         Table1Row("low_lying", t, D, None, count_bounded(t, D), low_lying),
         *(
-            Table1Row("depth_one", t, 1, n, binomial(t, 2 * n),
+            Table1Row("depth_one", t, 1, n, math.comb(t, 2 * n),
                       _approx(rounded_ratio(t ** (2 * n), math.factorial(2 * n))))
             for n in range(1, n_max + 1)
         ),

@@ -37,6 +37,8 @@ The positional double sum (``two_excursion_sum``,
 ``two_excursion_column``) is the independent route the kernel is checked
 against; it builds the bounded counts it needs by their D-term sum, once
 per call: a column of double sums shares them across its t-range.
+No binomial is computed here: census checks the depth-1 counts against
+math.comb and reads their limit 1/(2n)! from spectral.limit_constant.
 Nothing is kept between calls: every function is a pure function of its
 arguments, and memory is bounded by the request.
 """
@@ -214,12 +216,6 @@ def count_exact_excursions(t: int, n: int, D: int) -> int:
     check_least(t=(t, 0), n=(n, 0), D=(D, 1))
     ((_, count),) = _column(t, t, n, D)
     return count
-
-
-def binomial(t: int, k: int) -> int:
-    """Exact binomial coefficient, 0 when k > t."""
-    check_least(t=(t, 0), k=(k, 0))
-    return math.comb(t, k)
 
 
 def _bounded_counts(D: int, upto: int) -> list[int]:

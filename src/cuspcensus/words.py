@@ -176,8 +176,10 @@ class Composition:
     def __post_init__(self):
         if type(self.parts) is not tuple:
             object.__setattr__(self, "parts", tuple(self.parts))
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive, got {self.parts!r}")
+        parts = self.parts
+        # two C-level passes, since enumerate_compositions builds one per mask
+        if parts and (set(map(type, parts)) != {int} or min(parts) < 1):
+            raise ValueError(f"parts must be positive ints, got {self.parts!r}")
 
     @property
     def total(self) -> int:

@@ -307,21 +307,51 @@ def test_double_sum_sandwich_counts_a_misaligned_column(monkeypatch, fault, viol
     assert (check.measured, check.passed) == (violations, False)
 
 
-def test_binomial_reference_reaches_no_kernel_name():
-    # suite_thm32 checks the kernel against _binomial_row, so the row may
-    # not be built from compositions
+def census_function_names(name):
+    """The names imported from compositions into census, and the names
+    and attribute chains that census's function name uses."""
     tree = ast.parse((SRC / "cuspcensus" / "census.py").read_text(encoding="utf-8"))
     kernel_names = {"compositions"}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "compositions":
             kernel_names.update(alias.asname or alias.name for alias in node.names)
     (func,) = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "_binomial_row"]
+               if isinstance(node, ast.FunctionDef) and node.name == name]
     used = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
-    assert "binomial" in kernel_names and "row" in used
+    attributes = {
+        f"{node.value.id}.{node.attr}" for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+    }
+    return kernel_names, used, attributes
+
+
+def test_binomial_reference_reaches_no_kernel_name():
+    # suite_thm32 checks the kernel against _binomial_row, so the row may
+    # not be built from compositions
+    kernel_names, used, _ = census_function_names("_binomial_row")
+    assert "census_rows" in kernel_names and "row" in used
     assert not used & kernel_names, used & kernel_names
     assert census._binomial_row(6) == [1, 6, 15, 20, 15, 6, 1]
     assert census._binomial_row(0) == [1]
+
+
+def test_depth1_theorem_takes_its_cells_from_math_comb():
+    # at depth 1 a recurrence row would be the binomial ratio itself, so
+    # the expected cells come from math.comb, and the kernel gives only
+    # the counts that are checked against them
+    kernel_names, used, attributes = census_function_names("verify_theorem_2n_depth1")
+    assert "math.comb" in attributes
+    assert used & kernel_names == {"count_exact_excursions"}
+
+
+def test_thm32_exact_sweep_reads_kernel_rows_only(monkeypatch):
+    # the sweep compares census_rows with _binomial_row; a point row is not
+    # the route it checks, so the suite passes without one
+    def no_point_row(*args, **kwargs):
+        raise AssertionError("the depth-1 sweep read a point row")
+
+    monkeypatch.setattr(census, "census_row", no_point_row)
+    assert suite_thm32(exact_t_max=40, t_list=(100, 200), tolerance=Fraction(1)).passed
 
 
 def test_census_rounds_without_a_decimal_context():
@@ -472,6 +502,47 @@ def test_two_excursions_report():
     assert names == ["error_decreases", "final_relative_error"]
     with pytest.raises(ValueError):
         verify_theorem_two_excursions(1)
+
+
+def test_depth1_report_fails_a_growing_deviation(monkeypatch):
+    # a count twice the binomial at the last t moves the ratio away from
+    # its limit: the step fails its decrease, and the last t its tolerance
+    kernel = census.count_exact_excursions
+    monkeypatch.setattr(
+        census, "count_exact_excursions",
+        lambda t, n, D: kernel(t, n, D) * (2 if t == 1000 else 1),
+    )
+    rep = verify_theorem_2n_depth1(1, (100, 1000))
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed == ["depth1_count_is_binomial", "deviation_decreases", "final_deviation"]
+
+
+def two_excursion_report(monkeypatch, count_at):
+    """verify_theorem_two_excursions(2, (250, 500)) on the column of
+    counts count_at(t)."""
+    monkeypatch.setattr(
+        census, "census_column",
+        lambda t_lo, t_hi, n, D: ((t, count_at(t)) for t in range(t_lo, t_hi + 1)),
+    )
+    return verify_theorem_two_excursions(2, (250, 500), Fraction(1, 20))
+
+
+def test_two_excursions_report_fails_a_growing_error(monkeypatch):
+    exact = dict(census.census_column(250, 500, 1, 2))
+    rep = two_excursion_report(monkeypatch, lambda t: exact[t] * (2 if t == 500 else 1))
+    failed = [c.name for c in rep.checks if not c.passed]
+    assert failed == ["error_decreases", "final_relative_error"]
+
+
+def test_two_excursions_report_keeps_a_zero_error_at_zero(monkeypatch):
+    # counts whose ratio to t alpha^t rounds to the limit itself give a
+    # zero error at both t, which cannot decrease: the step stays zero
+    alpha = solve_alpha(2, census._ALPHA_TOL).midpoint()
+    limit = Fraction(float(limit_constant("two_excursions_D", 2).midpoint()))
+    rep = two_excursion_report(monkeypatch, lambda t: round(limit * t * alpha**t))
+    assert rep.passed
+    assert [c.name for c in rep.checks] == ["error_stays_zero", "final_relative_error"]
+    assert [c.measured for c in rep.checks] == [0, 0.0]
 
 
 def test_ratio_to_limit_is_the_nearest_double():

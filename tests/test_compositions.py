@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cuspcensus.census import excursion_census
 from cuspcensus.compositions import (
-    binomial,
     census_column,
     census_row,
     census_rows,
@@ -135,28 +134,7 @@ def test_partition_identity():
 def test_depth_one_specializes_to_binomial():
     for t in range(1, 201):
         for n in range(t // 2 + 1):
-            assert count_exact_excursions(t, n, 1) == binomial(t, 2 * n)
-
-
-# -- binomial -------------------------------------------------------------------
-
-
-def test_binomial_frozen():
-    assert binomial(3, 2) == 3
-    assert binomial(7, 4) == 35
-    assert binomial(4, 5) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_pascal_oracle():
-    pascal = [[1]]
-    for t in range(1, 30):
-        prev = pascal[-1] + [0]
-        pascal.append([1] + [prev[k - 1] + prev[k] for k in range(1, t + 1)])
-    for t in range(30):
-        for k in range(t + 1):
-            assert binomial(t, k) == pascal[t][k]
+            assert count_exact_excursions(t, n, 1) == math.comb(t, 2 * n)
 
 
 # -- product_at ------------------------------------------------------------------

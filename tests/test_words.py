@@ -252,6 +252,14 @@ def test_composition_validation():
     assert Composition(()).total == 0
 
 
+@pytest.mark.parametrize("parts", [(1.5,), (2.0, 1), ("a",), (None,), (1, True)])
+def test_composition_rejects_parts_that_are_not_ints(parts):
+    # a float part would give a float total, and a string or None would
+    # fail the comparison with a TypeError instead
+    with pytest.raises(ValueError, match="positive ints"):
+        Composition(parts)
+
+
 def test_composition_reads_any_iterable_of_parts():
     c = Composition((1, 2))
     assert Composition([1, 2]) == c
