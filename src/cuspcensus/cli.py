@@ -12,7 +12,8 @@ uses, and the rules that tie flags together before any output is opened,
 naming the flag in its message; no command checks a flag itself.
 Commands hand records to the Emitter in blocks: a census row is one
 block, its t, D and source shared by every record and its n and count one
-column each.  One pass over a
+column each, and enumerate hands it the compositions a chunk at a time,
+each record's signs spelled from its parts.  One pass over a
 block's keys encodes its shared values into a record template, and the
 block is written in slices of a fixed number of records, each encoded
 column-wise as one string.  Json-lines and csv records are written as
@@ -34,15 +35,15 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, cycle, islice, repeat
 from typing import Optional
 
 from ._contract import check_least
 from .census import DEFAULT_ORACLE_CAP, SUITES, table1
 from .compositions import census_column, census_row, census_rows, enumerate_compositions
 from .spectral import (
-    PrecisionExhausted, bounds_two_excursions_range, coefficient_d, limit_constant,
-    solve_alpha,
+    RATIO_DPS, PrecisionExhausted, bounds_two_excursions_range, coefficient_d,
+    limit_constant, solve_alpha,
 )
 from .words import EpsilonSeq, reciprocal_word
 
@@ -92,10 +93,19 @@ def _enclosure_fields(enc, digits: int) -> dict:
             "digits": digits}
 
 
+def _significant(value, digits: int) -> int:
+    """The significant digits of value printed at --digits: at most
+    sys.float_info.dig of a double, as past those its expansion is the
+    binary value's and not the quantity's, and at most spectral.RATIO_DPS of
+    a Decimal, all it holds."""
+    return min(digits, RATIO_DPS if isinstance(value, decimal.Decimal) else sys.float_info.dig)
+
+
 def _general_format(value, digits: int) -> str:
     """A float, or a Decimal beyond the float range, in the style of
-    format(value, f".{digits}g"): rounded to `digits` significant digits,
+    format(value, f".{digits}g"): rounded to its _significant digits,
     trailing zeros dropped."""
+    digits = _significant(value, digits)
     if isinstance(value, decimal.Decimal):
         value = decimal.Context(prec=digits).normalize(value)
     return f"{value:.{digits}g}"
@@ -152,6 +162,14 @@ _FORMATS = {
 }
 # the types of a block's columns; a value of any other type is shared
 _COLUMNS = frozenset((list, tuple, range, _Decimals))
+
+
+def _chunks(iterable):
+    """The values of iterable in lists of _BLOCK_RECORDS, the last one
+    shorter.  Its iterator is taken once, so a list is read through once,
+    not from its start for each chunk."""
+    values = iter(iterable)
+    return iter(lambda: list(islice(values, _BLOCK_RECORDS)), [])
 
 
 def _cells(values, by_type, token) -> list[str]:
@@ -258,7 +276,7 @@ class Emitter:
     def _slices(self):
         """The spooled records, _BLOCK_RECORDS at a time, as columns of cells."""
         self.rows.seek(0)
-        for lines in iter(lambda: list(islice(self.rows, _BLOCK_RECORDS)), []):
+        for lines in _chunks(self.rows):
             # each line ends in a newline: read as a separator, the slice is
             # its cells in row order
             cells = "".join(lines).replace("\n", _UNIT).split(_UNIT)
@@ -300,7 +318,7 @@ def _cmd_count(args, emitter: Emitter) -> int:
 
     if args.n is not None:
         column = census_column(max(t_lo, args.n * (args.D + 1)), t_hi, args.n, args.D)
-        for chunk in iter(lambda: list(islice(column, _BLOCK_RECORDS)), []):
+        for chunk in _chunks(column):
             ts, counts = zip(*chunk)
             emitter.emit(block(ts, args.n, counts))
         return 0
@@ -344,7 +362,7 @@ def _cmd_table1(args, emitter: Emitter) -> int:
                 "family": row.family, "t": row.t, "D": row.D, "n": row.n,
                 "exact": _int_str(row.exact),
                 "approx": _general_format(row.approx, args.digits) if known else None,
-                "approx_digits": args.digits if known else None,
+                "approx_digits": _significant(row.approx, args.digits) if known else None,
             }
         )
     return 0
@@ -400,22 +418,25 @@ def _cmd_verify(args, emitter: Emitter) -> int:
 
 
 def _cmd_enumerate(args, emitter: Emitter) -> int:
-    for index, comp in enumerate(enumerate_compositions(args.t, args.n, args.D)):
-        signs = []
-        sign = 1
-        for part in comp.parts:
-            signs.extend([sign] * part)
-            sign = -sign
-        eps = EpsilonSeq(tuple(signs))
+    """Each composition of --t, with --n only those with exactly --n parts
+    bigger than --D, emitted in blocks of _BLOCK_RECORDS compositions: its
+    parts, its signs ("+" over the first part, "-" over the next, and so
+    on) and their reciprocal normal form."""
+    parts = (comp.parts for comp in enumerate_compositions(args.t, args.n, args.D))
+    start = 0
+    for chunk in _chunks(parts):
+        # each part's sign repeated over its units, for the word layer
+        signs = [chain.from_iterable(map(repeat, cycle((1, -1)), p)) for p in chunk]
         emitter.emit(
             {
-                "index": index,
+                "index": range(start, start + len(chunk)),
                 "t": args.t,
-                "parts": "+".join(map(str, comp.parts)),
-                "eps": "".join("+" if s == 1 else "-" for s in eps.signs),
-                "word": str(reciprocal_word(eps).word),
+                "parts": ["+".join(map(str, p)) for p in chunk],
+                "eps": ["".join(map(str.__mul__, cycle("+-"), p)) for p in chunk],
+                "word": [str(reciprocal_word(EpsilonSeq(s)).word) for s in signs],
             }
         )
+        start += len(chunk)
     return 0
 
 

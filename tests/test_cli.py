@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspcensus.census import SUITES
 from cuspcensus.cli import Emitter, main
+from cuspcensus.words import GroupWord, epsilon_of, run_sequence
 
 
 def run(argv):
@@ -113,6 +114,27 @@ def test_table1_prints_twelve_digits_below_the_float_range():
     assert line.split(",")[5] == f"{exact:.12g}" == "4.42177813417e-327"
 
 
+def test_table1_prints_a_double_to_its_fifteen_digits():
+    # past sys.float_info.dig a double's digits are its binary expansion's:
+    # 2000^4/4! is 666666666666.666..., the double 666666666666.66662597...
+    code, out, _ = run(["table1", "--t", "2000", "--D", "2", "--digits", "50", "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",")[5:] for line in out.splitlines()[3:6]]
+    assert rows == [["2000000", "15"], ["666666666666.667", "15"],
+                    ["8.88888888888889e+16", "15"]]
+
+
+def test_verify_prints_a_double_to_its_fifteen_digits():
+    code, out, _ = run(["verify", "--suite", "thm34", "--digits", "30", "--format", "json-lines"])
+    assert code == 0
+    floats = [v for r in map(json.loads, out.splitlines()) for v in r.values()
+              if "." in v and "/" not in v]
+    assert floats
+    for v in floats:
+        assert len(v.split("e")[0].replace(".", "").lstrip("0")) <= 15
+    assert "0.00306524756129916" in floats
+
+
 def test_bounds_sandwich_rendered_outward():
     code, out, _ = run(
         ["bounds", "--t", "10", "--t-max", "14", "--D", "2", "--format", "json-lines"]
@@ -183,9 +205,10 @@ def test_bounds_sandwich_rendered_outward():
     # beyond the float range the approximations print as decimals
     (["table1", "--t", "2000", "--D", "2"],
      "a581d6c1aac6e082b17acfaf3917ed475d0bf7458c91d31966fa6c4b378bc36d"),
-    # and at 50 digits, each of them certified
+    # and at 50 digits, each of them certified; a double prints at most its
+    # 15 digits, where 36735457... printed its binary expansion to 50
     (["table1", "--t", "2000", "--D", "2", "--digits", "50"],
-     "36735457367bdac3a40b96af98b793ad86896521ef981110dadd31c8a3a86feb"),
+     "c98808ba39731948d24ad92b8f8f4edbc7491ce6429c32ea3aac87a254559e50"),
     # the words the word layer prints: every normal form of t = 12, and a
     # filtered run in the other format
     (["enumerate", "--t", "12"],
@@ -198,6 +221,11 @@ def test_bounds_sandwich_rendered_outward():
     # a filtered listing whose 2^59 masks no walk over masks could visit
     (["enumerate", "--t", "60", "--n", "2", "--D", "25", "--format", "csv"],
      "cb31eca1092a5242647bc377573a22c346ef9e3f5e89aab51f45bec170ad96a7"),
+    # the same normal forms of t = 12, written in blocks, in the other formats
+    (["enumerate", "--t", "12", "--format", "table"],
+     "89d73c5b192b10a6bf632e798db720e3300a1e7cd37946443c7e8d98ef9ba15b"),
+    (["enumerate", "--t", "12", "--format", "json-lines"],
+     "3ade70061ed42c49ce34ae3238ffc2b536ae68513360d5fd91ddc392fe3d84be"),
 ])
 def test_bounds_output_pinned(argv, digest):
     # the printed bounds, growth rates and constants are certified
@@ -217,6 +245,25 @@ def test_enumerate_order_and_words():
     assert [r["parts"] for r in recs] == ["1+1+1", "2+1", "1+2", "3"]
     assert recs[1]["eps"] == "++-"
     assert recs[1]["word"] == "ababaBabaBaB"
+
+
+@pytest.mark.parametrize("argv", [
+    # 512 records, two blocks
+    ["enumerate", "--t", "10"],
+    ["enumerate", "--t", "14", "--n", "2", "--D", "2"],
+])
+def test_enumerate_records_invert_through_the_word_layer(argv):
+    # each record's signs are read back from its word, and its parts from
+    # its signs, by the word layer's own inverses
+    code, out, _ = run(argv + ["--format", "json-lines"])
+    assert code == 0
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert len(recs) > 256
+    assert [r["index"] for r in recs] == list(range(len(recs)))
+    for r in recs:
+        eps = epsilon_of(GroupWord(r["word"]))
+        assert "".join("+" if s == 1 else "-" for s in eps.signs) == r["eps"]
+        assert "+".join(map(str, run_sequence(eps).parts)) == r["parts"]
 
 
 def test_enumerate_filter():
@@ -490,9 +537,13 @@ def test_table1_approx_beyond_float_range():
 
 def test_table1_prints_fifty_certified_digits():
     # d alpha^2000 at D = 2 is 6.83570225957580664704539654917058010705540802936552...e417
-    code, out, err = run(["table1", "--t", "2000", "--D", "2", "--digits", "50", "--format", "csv"])
-    assert code == 0, err
-    assert out.splitlines()[2].endswith(",6.8357022595758066470453965491705801070554080293655e+417,50")
+    # and at --digits 60 it prints those 50, and says so
+    for digits in ("50", "60"):
+        code, out, err = run(["table1", "--t", "2000", "--D", "2", "--digits", digits,
+                              "--format", "csv"])
+        assert code == 0, err
+        assert out.splitlines()[2].endswith(
+            ",6.8357022595758066470453965491705801070554080293655e+417,50")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
