@@ -64,10 +64,13 @@ def test_pairs_alternate_and_are_summarised_by_median_and_quartiles(tmp_path):
     assert first["parent"] == {"q1": 1.75, "median": 2.5, "q3": 3.25}
     assert first["change"] == {"q1": 0.875, "median": 1.25, "q3": 1.625}
     assert first["change_better_pairs"] == 4 and first["pairs"] == 4
-    assert first["outside_change_quartiles"]
-    # a tie is no win, and a median inside the quartiles is unresolved
+    # a gap of 1.25 within the parent's quartiles, 1.5 apart, is unresolved
+    assert not first["gap_exceeds_parent_iqr"]
+    # a gap of 1.0 beyond quartiles that coincide is resolved
+    assert metrics["wall_s"]["gap_exceeds_parent_iqr"]
+    # a tie is no win, and no gap
     assert metrics["ok_ratio"]["change_better_pairs"] == 0
-    assert not metrics["ok_ratio"]["outside_change_quartiles"]
+    assert not metrics["ok_ratio"]["gap_exceeds_parent_iqr"]
 
 
 def test_each_checkout_warms_up_once_outside_the_summaries(tmp_path):

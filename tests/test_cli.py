@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspcensus.census import SUITES
-from cuspcensus.cli import Emitter, main
+from cuspcensus.cli import Emitter, build_parser, main
 from cuspcensus.words import GroupWord, epsilon_of, run_sequence
 
 
@@ -145,97 +147,39 @@ def test_bounds_sandwich_rendered_outward():
         assert Fraction(rec["lower"]) <= int(rec["count"]) <= Fraction(rec["upper"])
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["bounds", "--t", "5000", "--D", "2"],
-     "1e7d99a8e4741b627a8c482b180b011f73e2584a885d9b52631022df5db2b847"),
-    (["bounds", "--t", "1", "--t-max", "600", "--D", "3"],
-     "ca54b97c4eff44ae70f2d23cfd7685cb0b6c92c068c4422b7c804bfc0feef0c1"),
-    (["alpha", "--D", "2"],
-     "2f5a7687abe09b0f901b260685efe271743935ae5a617bfae70630723f6fa574"),
-    (["alpha", "--D", "3"],
-     "7758c06fe8b2b78a5f3a083cd998602edb8c3ec71085b4797dc09d5d8d30c90c"),
-    (["alpha", "--D", "5"],
-     "bc9216910c5b3669841fa747e2399044c5e2c01210d778dc62d0c8521477afa8"),
-    (["alpha", "--D", "12"],
-     "6996b72b8d06a37ced79b28a196292d143d36623c763725610f563ac144bd716"),
-    (["alpha", "--D", "40"],
-     "6cc3ba0907f30d731262f3f5e097b481668bd59b7a5bcd62ba2883a4cb4bcedb"),
-    (["constants", "--D", "2", "--n", "2"],
-     "14a38e6bdfeedffa1525419984c0b53f529d86b223b0b338e1ef51285577c7fa"),
-    (["constants", "--D", "3", "--n", "2"],
-     "94030b3f4020d07790a7c0a9a980b692150e7f3b3f2cf1e21b574950febedf83"),
-    (["constants", "--D", "5", "--n", "2"],
-     "36552270c2a483c4f0f434f455c477b4dab1505c176f74f1cadf560579e04df6"),
-    (["constants", "--D", "12", "--n", "2"],
-     "d5afcc10e74f144c4a34e37a926a83a20edba657f582d30c1077fed771b8660e"),
-    (["constants", "--D", "40", "--n", "2"],
-     "c7001dffce2bd326fea2f4ca45706ee445e749472626dd5689f1d31f93963384"),
-    (["count", "--t-max", "1000", "--D", "1", "--format", "json-lines"],
-     "cde8e188e3e7886b12c3d6080b07437f94e9bb6728f1183216477acc8784eec4"),
-    (["count", "--t", "2000", "--D", "3", "--format", "csv"],
-     "5cd62ea1b36a2795da4f0c84054caf7eb5f2da918fd186936252e35e99a2b919"),
-    (["verify", "--suite", "bijection", "--format", "json-lines"],
-     "906f509a7928bbf92cd7e627e283eced4ed3da94d0c0836987900b87188d8c8f"),
-    (["verify", "--suite", "partition", "--oracle-max-t", "16",
-      "--format", "json-lines"],
-     "4a3ed6bc07ee4421ac75e3453cb65870221e5a3aae7343898bf0b4831cddb7e4"),
-    (["verify", "--suite", "double-sum", "--format", "json-lines"],
-     "5195cc6a6ebf9c21d3ff7029b3d42653bfeedff31d13589a4959a440fd26e6f2"),
-    (["verify", "--suite", "matrices", "--format", "json-lines"],
-     "2bc140634840ad1e0d2bae5d2d46f5bb69ebc1b38b268138dbaf4778dca81087"),
-    (["count", "--t", "1", "--t-max", "800", "--D", "2", "--n", "2", "--format", "csv"],
-     "6487ba2c2128d69f263293dd43e6712af75b6932c6a279c17b5e3889e34b8a32"),
-    (["count", "--t", "1", "--t-max", "600", "--D", "5", "--n", "1",
-      "--format", "json-lines"],
-     "9ae82a3ecf8a2773ce889c8b724bf57a4251ba1349cec9f29bb0aee0ce3b0095"),
-    (["count", "--t", "1", "--t-max", "300", "--D", "3", "--format", "table"],
-     "dcd973ea1c262b7a356cba1f4472fc7fd4d13f98b3f310ba110aa85a32287ac4"),
-    (["count", "--t", "1", "--t-max", "300", "--D", "3", "--format", "csv"],
-     "63045a344fb34f10e513147cd8b658da91d403a189357bfc638cc2366334a564"),
-    (["count", "--t", "1", "--t-max", "2000", "--D", "2", "--n", "1", "--format", "table"],
-     "b8c0900efe2975b255ce69615bb79fce9772d520e018de5a698f75c03d0bcd9a"),
-    (["alpha", "--D", "3", "--digits", "300"],
-     "1d00bdd344081dcf12ac134a19ca541519f77e4600dce01f23d8148e24481a41"),
-    (["alpha", "--D", "12", "--digits", "60"],
-     "ef8890c988cb84f34699159f60bd05029c69a2811f155e644c4756e227ab1719"),
-    (["constants", "--D", "3", "--n", "2", "--digits", "60"],
-     "06e384ad3565d8b6dda37d87bfb6e85edfc08d6af6cc20acf2e44222ca3dcfe6"),
-    (["table1", "--t", "20", "--D", "2"],
-     "567e1f23cb33e69b59b24ba5a9d500a8ead67b4032975d1bff4f28d8fc207f62"),
-    # beyond the float range the approximations print as decimals
-    (["table1", "--t", "2000", "--D", "2"],
-     "a581d6c1aac6e082b17acfaf3917ed475d0bf7458c91d31966fa6c4b378bc36d"),
-    # and at 50 digits, each of them certified; a double prints at most its
-    # 15 digits, where 36735457... printed its binary expansion to 50
-    (["table1", "--t", "2000", "--D", "2", "--digits", "50"],
-     "c98808ba39731948d24ad92b8f8f4edbc7491ce6429c32ea3aac87a254559e50"),
-    # the words the word layer prints: every normal form of t = 12, and a
-    # filtered run in the other format
-    (["enumerate", "--t", "12"],
-     "6a2b6399e2721f9bfed1d2cdaff6418df23e8445924ae9f7005709e1b2ce402e"),
-    (["enumerate", "--t", "10", "--n", "2", "--D", "2", "--format", "json-lines"],
-     "3910a8a829abbf915256ccaf8b54195cc651d745937ddf2665bd3f5addd5c2d3"),
-    # one bound far out: the closed forms need one power of alpha per t
-    (["bounds", "--t", "20000", "--D", "2"],
-     "ff91cfa3434162dcc84caeed418a9a43b03e5ec25e868392e2531bfafdc16e1a"),
-    # a filtered listing whose 2^59 masks no walk over masks could visit
-    (["enumerate", "--t", "60", "--n", "2", "--D", "25", "--format", "csv"],
-     "cb31eca1092a5242647bc377573a22c346ef9e3f5e89aab51f45bec170ad96a7"),
-    # the same normal forms of t = 12, written in blocks, in the other formats
-    (["enumerate", "--t", "12", "--format", "table"],
-     "89d73c5b192b10a6bf632e798db720e3300a1e7cd37946443c7e8d98ef9ba15b"),
-    (["enumerate", "--t", "12", "--format", "json-lines"],
-     "3ade70061ed42c49ce34ae3238ffc2b536ae68513360d5fd91ddc392fe3d84be"),
-])
-def test_bounds_output_pinned(argv, digest):
-    # the printed bounds, growth rates and constants are certified
-    # values, and counts and suite reports are exact: all are pinned here
-    # to the byte, in csv unless the case names its format
-    if "--format" not in argv:
-        argv = argv + ["--format", "csv"]
-    code, out, _ = run(argv)
+# (digest, command line) of each pin in pinned_outputs.txt, the table that
+# CI checks through the console script
+PINS = [
+    tuple(line.split(maxsplit=1))
+    for line in Path(__file__).with_name("pinned_outputs.txt").read_text().splitlines()
+    if line.strip() and not line.lstrip().startswith("#")
+]
+
+
+@pytest.mark.parametrize("digest, command", PINS, ids=[command for _, command in PINS])
+def test_bounds_output_pinned(digest, command):
+    code, out, _ = run(command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_outputs_are_well_formed():
+    # a typo in the table fails here, not by dropping a pin from both checks
+    parser = build_parser()
+    (subcommands,) = [a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    commands = [command for _, command in PINS]
+    assert len(set(commands)) == len(commands)
+    formats = set()
+    for digest, command in PINS:
+        assert re.fullmatch("[0-9a-f]{64}", digest), command
+        argv = command.split()
+        assert command == " ".join(argv), command
+        assert argv[0] in subcommands, command
+        assert argv.count("--format") == 1, command
+        formats.add(parser.parse_args(argv).format)
+    assert {command.split()[0] for command in commands} == set(subcommands)
+    assert formats == {"table", "json-lines", "csv"}
 
 
 def test_enumerate_order_and_words():
@@ -315,64 +259,50 @@ def test_verify_json_records_carry_comparison():
     assert all(r["status"] == "pass" for r in recs)
 
 
+# each rejected command line and its message, which names the flags the
+# user gave, not the library's parameters
 USAGE_ERRORS = (
-    ["count", "--D", "2"],
-    ["count", "--t", "0", "--D", "1"],
-    ["alpha", "--D", "1"],
-    ["bounds", "--D", "2"],
-    ["verify", "--suite", "thm32", "--tolerance", "junk"],
-    ["verify", "--suite", "thm32", "--tolerance", "1/0"],
-    ["verify", "--suite", "thm32", "--tolerance", "-1"],
-    ["count", "--t", "5", "--t-max", "3", "--D", "2"],
-    ["bounds", "--t", "5", "--t-max", "3", "--D", "2"],
-    ["verify", "--suite", "partition", "--oracle-max-t", "-3"],
-    ["verify", "--suite", "partition", "--oracle-max-t", "0"],
-    ["count", "--t", "3", "--D", "2", "--n", "-1"],
-    ["count", "--t", "3", "--D", "2", "--n", "2"],
-    ["count", "--t", "3", "--D", "-1", "--n", "0"],
-    ["enumerate", "--t", "3", "--n", "5", "--D", "1"],
-    ["enumerate", "--t", "0"],
-    ["enumerate", "--t", "3", "--n", "0", "--D", "-1"],
-    ["table1", "--t", "5", "--D", "2", "--n", "0"],
-    ["table1", "--t", "5", "--D", "2", "--n", "-1"],
-    ["count", "--t-max", "0", "--D", "1"],
-    ["bounds", "--t-max", "0", "--D", "2"],
-    ["constants", "--D", "2", "--n", "-1"],
-    ["enumerate", "--t", "5", "--n", "1"],
-    ["enumerate", "--t", "5", "--D", "2"],
-    ["alpha", "--D", "0"],
-    ["constants", "--D", "1"],
-    ["bounds", "--t", "3", "--D", "0"],
-    ["table1", "--t", "5", "--D", "0"],
-    ["table1", "--t", "0", "--D", "2"],
-    ["count", "--t", "3", "--D", "1", "--digits", "0"],
+    (["count", "--D", "2"], "count needs --t or --t-max"),
+    (["count", "--t", "0", "--D", "1"], "--t must be >= 1, got 0"),
+    (["alpha", "--D", "1"], "--D must be >= 2, got 1"),
+    (["bounds", "--D", "2"], "bounds needs --t or --t-max"),
+    (["verify", "--suite", "thm32", "--tolerance", "junk"],
+     "--tolerance must be a number such as 1/1000, got junk"),
+    (["verify", "--suite", "thm32", "--tolerance", "1/0"],
+     "--tolerance 1/0 has a zero denominator"),
+    (["verify", "--suite", "thm32", "--tolerance", "-1"], "--tolerance must be >= 0, got -1"),
+    (["count", "--t", "5", "--t-max", "3", "--D", "2"],
+     "empty t-range: --t 5 is above --t-max 3"),
+    (["bounds", "--t", "5", "--t-max", "3", "--D", "2"],
+     "empty t-range: --t 5 is above --t-max 3"),
+    (["verify", "--suite", "partition", "--oracle-max-t", "-3"],
+     "--oracle-max-t must be >= 1, got -3"),
+    (["verify", "--suite", "partition", "--oracle-max-t", "0"],
+     "--oracle-max-t must be >= 1, got 0"),
+    (["count", "--t", "3", "--D", "2", "--n", "-1"], "--n must be >= 0, got -1"),
+    (["count", "--t", "3", "--D", "2", "--n", "2"], "--n must be <= 1 for t <= 3, got 2"),
+    (["count", "--t", "3", "--D", "-1", "--n", "0"], "--D must be >= 1, got -1"),
+    (["enumerate", "--t", "3", "--n", "5", "--D", "1"], "--n must be <= 1 for t <= 3, got 5"),
+    (["enumerate", "--t", "0"], "--t must be >= 1, got 0"),
+    (["enumerate", "--t", "3", "--n", "0", "--D", "-1"], "--D must be >= 1, got -1"),
+    (["table1", "--t", "5", "--D", "2", "--n", "0"], "--n must be >= 1, got 0"),
+    (["table1", "--t", "5", "--D", "2", "--n", "-1"], "--n must be >= 1, got -1"),
+    (["count", "--t-max", "0", "--D", "1"], "--t-max must be >= 1, got 0"),
+    (["bounds", "--t-max", "0", "--D", "2"], "--t-max must be >= 1, got 0"),
+    (["constants", "--D", "2", "--n", "-1"], "--n must be >= 0, got -1"),
+    (["enumerate", "--t", "5", "--n", "1"], "--n and --D go together: give both or neither"),
+    (["enumerate", "--t", "5", "--D", "2"], "--n and --D go together: give both or neither"),
+    (["alpha", "--D", "0"], "--D must be >= 2, got 0"),
+    (["constants", "--D", "1"], "--D must be >= 2, got 1"),
+    (["bounds", "--t", "3", "--D", "0"], "--D must be >= 2, got 0"),
+    (["table1", "--t", "5", "--D", "0"], "--D must be >= 2, got 0"),
+    (["table1", "--t", "0", "--D", "2"], "--t must be >= 1, got 0"),
+    (["count", "--t", "3", "--D", "1", "--digits", "0"], "--digits must be >= 1, got 0"),
 )
 
 
 def test_usage_errors_exit_two():
-    for argv in USAGE_ERRORS:
-        code, _, err = run(argv)
-        assert code == 2, argv
-        assert err.startswith("error:"), argv
-    # the message names the flags the user gave, not the library's parameters
-    for argv, message in (
-        (["table1", "--t", "5", "--D", "2", "--n", "0"], "--n must be >= 1, got 0"),
-        (["count", "--t-max", "0", "--D", "1"], "--t-max must be >= 1, got 0"),
-        (["bounds", "--t-max", "0", "--D", "2"], "--t-max must be >= 1, got 0"),
-        (["constants", "--D", "2", "--n", "-1"], "--n must be >= 0, got -1"),
-        (["count", "--t", "0", "--D", "1"], "--t must be >= 1, got 0"),
-        (["count", "--t", "3", "--D", "-1", "--n", "0"], "--D must be >= 1, got -1"),
-        (["enumerate", "--t", "5", "--n", "1"], "--n and --D go together: give both or neither"),
-        (["enumerate", "--t", "5", "--D", "2"], "--n and --D go together: give both or neither"),
-        (["alpha", "--D", "0"], "--D must be >= 2, got 0"),
-        (["constants", "--D", "1"], "--D must be >= 2, got 1"),
-        (["bounds", "--t", "3", "--D", "0"], "--D must be >= 2, got 0"),
-        (["table1", "--t", "5", "--D", "0"], "--D must be >= 2, got 0"),
-        (["table1", "--t", "0", "--D", "2"], "--t must be >= 1, got 0"),
-        (["count", "--t", "3", "--D", "1", "--digits", "0"], "--digits must be >= 1, got 0"),
-        (["verify", "--suite", "thm32", "--tolerance", "junk"],
-         "--tolerance must be a number such as 1/1000, got junk"),
-    ):
+    for argv, message in USAGE_ERRORS:
         assert run(argv) == (2, "", f"error: {message}\n"), argv
 
 
@@ -380,9 +310,9 @@ def test_usage_errors_keep_the_out_file(tmp_path):
     # every flag is checked before --out is opened, so a rejected command
     # leaves an existing file as it was
     path = tmp_path / "kept.txt"
-    for argv in USAGE_ERRORS:
+    for argv, message in USAGE_ERRORS:
         path.write_bytes(b"precious\n")
-        assert run([*argv, "--out", str(path)])[0] == 2, argv
+        assert run([*argv, "--out", str(path)]) == (2, "", f"error: {message}\n"), argv
         assert path.read_bytes() == b"precious\n", argv
 
 

@@ -12,8 +12,8 @@ higher peak memory than the runs after it.  Each run's JSON result is read
 from the last line of its output.  The file keeps every run in the order
 run, the warm-up runs apart and out of every summary, and per workload and
 end-to-end metric each side's median and quartiles, the number of pairs in
-which CHANGE was better, and whether the parent's median lies outside
-CHANGE's interquartile range, with both commits, the core count and the
+which CHANGE was better, and whether the medians differ by more than the
+parent's interquartile range, with both commits, the core count and the
 Python version.
 """
 
@@ -73,7 +73,8 @@ def summary(values: list[float]) -> dict:
 
 def compare(runs: list[dict], better: dict[str, str]) -> dict:
     """Per end-to-end metric: both sides' summaries, the pairs CHANGE won
-    and whether the parent's median lies outside CHANGE's quartiles."""
+    and whether the medians differ by more than the parent's quartiles lie
+    apart."""
     values = {side: {} for side in SIDES}
     for run in runs:
         for name, value in run["metrics"].items():
@@ -88,8 +89,9 @@ def compare(runs: list[dict], better: dict[str, str]) -> dict:
             **stats,
             "change_better_pairs": sum(sign * (change[i] - parent[i]) < 0 for i in parent),
             "pairs": len(parent),
-            "outside_change_quartiles": not (
-                stats["change"]["q1"] <= stats["parent"]["median"] <= stats["change"]["q3"]
+            "gap_exceeds_parent_iqr": (
+                abs(stats["change"]["median"] - stats["parent"]["median"])
+                > stats["parent"]["q3"] - stats["parent"]["q1"]
             ),
         }
     return metrics
