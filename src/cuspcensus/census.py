@@ -30,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress, product, zip_longest
+from itertools import compress, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._contract import check_least
@@ -52,7 +52,7 @@ from .spectral import (
     rounded_ratio,
     solve_alpha,
 )
-from .words import EpsilonSeq, canonical_cyclic_form, reciprocal_word
+from .words import canonical_letters, normal_form_letters
 
 Number = Union[int, float, Fraction]
 
@@ -182,7 +182,9 @@ def _oracle_tally(t: int) -> tuple[Counter, Counter]:
 
 def conjugacy_class_sizes(t: int) -> Counter:
     """Group the 2^t reciprocal normal forms at size t by canonical cyclic
-    form; maps each class representative to its number of normal forms.
+    form; maps each class representative's letters to its number of normal
+    forms.  Each form is spelled and canonicalised as a string, by the two
+    string kernels of words, with no word object built.
 
     Every class must have size exactly 2.  The census's only word route:
     recomputed on every call, and capped at t = CONJUGACY_CAP.
@@ -190,10 +192,7 @@ def conjugacy_class_sizes(t: int) -> Counter:
     check_least(t=(t, 1))
     if t > CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
-    return Counter(
-        str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(signs)).word))
-        for signs in product((1, -1), repeat=t)
-    )
+    return Counter(map(canonical_letters, normal_form_letters(t)))
 
 
 def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusRow]:
@@ -558,8 +557,8 @@ def suite_matrices(t_max: int = 12) -> VerificationReport:
     ]
     for t in range(1, t_max + 1):
         bad = 0
-        for signs in product((1, -1), repeat=t):
-            word = reciprocal_word(EpsilonSeq(signs)).word
+        for letters in normal_form_letters(t):
+            word = GroupWord(letters)
             # the full word is evaluated once, for both checks
             w = evaluate(word)
             if classify(w) != "hyperbolic" or not factors_through_involution(word, w):

@@ -20,12 +20,19 @@ Throughout, the syllable ``b^-1`` is written ``"B"``, and a word holds its
 letters as one string, which every operation here reads and builds.  The
 group law is stated once, in two tables: ``_PRODUCT`` multiplies two letters
 of one free factor (``a^2 = b^3 = 1``) and ``_INVERSE`` inverts letters.
+
+The word route has two string kernels, which the object functions wrap:
+:func:`normal_form_letters` spells every normal form of size ``t`` from the
+template that :func:`reciprocal_word` uses, and :func:`canonical_letters`
+reduces, cyclically reduces and rotates a string of letters to its least
+rotation, on the full alternating text, which is what
+:func:`canonical_cyclic_form` returns as a word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from typing import Iterator
 
 from ._contract import check_least
@@ -47,15 +54,6 @@ class NotNormalForm(ValueError):
     """Raised when a word does not match the reciprocal template."""
 
 
-def _all_in(allowed: frozenset, items) -> bool:
-    """Whether every item is in allowed, by one C-level set test; an
-    unhashable item is not in it."""
-    try:
-        return allowed.issuperset(items)
-    except TypeError:
-        return False
-
-
 @dataclass(frozen=True)
 class EpsilonSeq:
     """A nonempty tuple of signs, each +1 or -1; any other iterable of
@@ -70,10 +68,13 @@ class EpsilonSeq:
     def __post_init__(self):
         if type(self.signs) is not tuple:
             object.__setattr__(self, "signs", tuple(self.signs))
-        if not self.signs:
+        signs = self.signs
+        if not signs:
             raise ValueError("sign tuple must be nonempty")
-        if not _all_in(_SIGNS, self.signs):
-            raise ValueError(f"signs must be +1 or -1, got {self.signs!r}")
+        # ints first, so that True and 1.0 are not read as 1, and the set
+        # test meets only hashable items
+        if set(map(type, signs)) != {int} or not _SIGNS.issuperset(signs):
+            raise ValueError(f"signs must be +1 or -1, got {signs!r}")
 
     @property
     def t(self) -> int:
@@ -193,6 +194,23 @@ class Composition:
         return iter(self.parts)
 
 
+def _template(half: str) -> str:
+    """The letters of the normal form whose first half is ``half``: the
+    second half is a x^-1 a for the first half x."""
+    return half + "a" + half[:0:-1].translate(_INVERSE)
+
+
+def normal_form_letters(t: int) -> Iterator[str]:
+    """The letters of the 2^t reciprocal normal forms of size ``t``, one
+    string each, in the order of ``product((1, -1), repeat=t)``.
+
+    >>> list(normal_form_letters(2))
+    ['ababaBaB', 'abaBabaB', 'aBabaBab', 'aBaBabab']
+    """
+    check_least(t=(t, 1))
+    return map(_template, map("".join, product((_PAIR[1], _PAIR[-1]), repeat=t)))
+
+
 def reciprocal_word(eps: EpsilonSeq) -> ReciprocalNormalForm:
     """Expand a sign tuple into its reciprocal normal form.
 
@@ -201,9 +219,7 @@ def reciprocal_word(eps: EpsilonSeq) -> ReciprocalNormalForm:
     >>> str(reciprocal_word(EpsilonSeq((1, -1))).word)
     'abaBabaB'
     """
-    half = "".join(map(_PAIR.__getitem__, eps.signs))
-    # the second half is a x^-1 a for the first half x
-    text = half + "a" + half[:0:-1].translate(_INVERSE)
+    text = _template("".join(map(_PAIR.__getitem__, eps.signs)))
     return ReciprocalNormalForm(eps, GroupWord(text))
 
 
@@ -253,6 +269,18 @@ def excursion_parts(c: Composition, depth: int) -> int:
     return sum(1 for p in c.parts if p > depth)
 
 
+def _reduce(text: str) -> str:
+    """Reduce letters on a stack, which holds a reduced prefix: one merge
+    of its top with the next letter keeps it reduced."""
+    stack: list[str] = []
+    for s in text:
+        if stack and (stack[-1] == "a") == (s == "a"):
+            stack.extend(_PRODUCT[stack.pop() + s])
+        else:
+            stack.append(s)
+    return "".join(stack)
+
+
 def reduce_word(w: GroupWord) -> GroupWord:
     """Fully reduce a word in Z2 * Z3.
 
@@ -269,14 +297,7 @@ def reduce_word(w: GroupWord) -> GroupWord:
     """
     if w.is_reduced():
         return w
-    stack: list[str] = []
-    for s in w.letters:
-        # the stack is a reduced prefix, which one merge keeps reduced
-        if stack and (stack[-1] == "a") == (s == "a"):
-            stack.extend(_PRODUCT[stack.pop() + s])
-        else:
-            stack.append(s)
-    return GroupWord("".join(stack))
+    return GroupWord(_reduce(w.letters))
 
 
 def _cyclic_reduce(text: str) -> str:
@@ -287,41 +308,61 @@ def _cyclic_reduce(text: str) -> str:
     return text
 
 
+def canonical_letters(text: str) -> str:
+    """The letters of the canonical cyclic form of the word spelled by
+    ``text``; see :func:`canonical_cyclic_form`.  Invalid letters raise the
+    ``ValueError`` of :class:`GroupWord`.
+
+    A cyclically reduced text of length >= 2 alternates between the two
+    free factors, so its least rotation starts at an ``a``, and two such
+    rotations first differ at a b-letter.  Unless its b-letters are all
+    equal, the text is rotated to end with ``"aB"``, so that no run of
+    ``"ab"`` wraps around; the least rotation begins with a longest run of
+    ``"ab"`` followed by ``"aB"``, read off ``str.split``, and only the
+    rotations starting at such a run, found with ``str.find``, are
+    compared, as slices of the doubled text.
+
+    >>> canonical_letters("BabaBa")
+    'abaBaB'
+    """
+    if not isinstance(text, str) or text.strip(_LETTERS):
+        text = GroupWord(text).letters
+    # the pairs of _PRODUCT spelled out, as GroupWord.is_reduced tests them
+    if "aa" in text or "bb" in text or "BB" in text or "bB" in text or "Bb" in text:
+        text = _reduce(text)
+    text = _cyclic_reduce(text)
+    if len(text) <= 1:
+        return text
+    if text[0] != "a":
+        text = text[1:] + text[0]
+    # b-letters all equal read the same from every start at an a
+    if "b" not in text or "B" not in text:
+        return text
+    k = text.find("aB") + 2
+    text = text[k:] + text[:k]
+    run = max(text.split("aB")) + "aB"
+    n = len(text)
+    doubled = text + text
+    # B sorts before b in ASCII, the reverse of b < b^-1, so among
+    # rotations starting at an a the least is the greatest string
+    best = ""
+    i = text.find(run)
+    while i >= 0:
+        best = max(best, doubled[i : i + n])
+        i = text.find(run, i + len(run))
+    return best
+
+
 def canonical_cyclic_form(w: GroupWord) -> GroupWord:
     """Canonical representative of the cyclic-conjugacy class of ``w``.
 
     Reduces, cyclically reduces, then rotates to the least rotation under
     the fixed syllable order a < b < b^-1.  Two reduced words are conjugate
-    in Z2 * Z3 exactly when their canonical cyclic forms are equal.
-
-    A cyclically reduced word of length >= 2 alternates between the two
-    free factors, so its least rotation starts at an ``a`` and is fixed by
-    the least rotation of its b-letters.  That one begins with a longest
-    cyclic run of ``b``: the b-letters are rotated to end with a ``B``, so
-    that no run wraps around, the run length is read off ``str.split`` and
-    its starts found with ``str.find``, and only the rotations starting
-    there are compared, as slices of the doubled b-letters.
+    in Z2 * Z3 exactly when their canonical cyclic forms are equal.  The
+    work is done on the letters by :func:`canonical_letters`, whose least
+    rotation runs on the full alternating text.
 
     >>> str(canonical_cyclic_form(GroupWord.from_string("BabaBa")))
     'abaBaB'
     """
-    text = _cyclic_reduce(reduce_word(w).letters)
-    if len(text) <= 1:
-        return GroupWord(text)
-    letters = text[1::2] if text[0] == "a" else text[::2]
-    k = letters.find("B")
-    # b-letters all equal read the same from every start
-    if k >= 0 and "b" in letters:
-        letters = letters[k + 1 :] + letters[: k + 1]
-        run = "b" * max(map(len, letters.split("B"))) + "B"
-        n = len(letters)
-        doubled = letters + letters
-        # B sorts before b in ASCII, the reverse of b < b^-1, so among
-        # slices of one length the least rotation is the greatest string
-        best = ""
-        i = letters.find(run)
-        while i >= 0:
-            best = max(best, doubled[i : i + n])
-            i = letters.find(run, i + len(run))
-        letters = best
-    return GroupWord("a" + "a".join(letters))
+    return GroupWord(canonical_letters(w.letters))

@@ -62,7 +62,9 @@ from cuspcensus.census import (
     verify_theorem_two_excursions,
 )
 from cuspcensus.cli import main
-from cuspcensus.words import Composition, EpsilonSeq, GroupWord, projectivize, run_sequence
+from cuspcensus.words import (
+    Composition, EpsilonSeq, canonical_cyclic_form, projectivize, reciprocal_word, run_sequence,
+)
 
 
 # -- check plumbing ------------------------------------------------------------
@@ -117,6 +119,16 @@ def test_excursion_census_validation():
         excursion_census(3, 0)
 
 
+def test_conjugacy_class_sizes_match_the_object_route():
+    # the string kernels give the classes, and the keys, that the word
+    # objects give one tuple at a time
+    for t in range(1, 11):
+        assert conjugacy_class_sizes(t) == Counter(
+            str(canonical_cyclic_form(reciprocal_word(EpsilonSeq(s)).word))
+            for s in itertools.product((1, -1), repeat=t)
+        )
+
+
 def test_oracle_census_frozen():
     rows = oracle_census(3, 1)
     assert [(r.n, r.count) for r in rows] == [(0, 1), (1, 3)]
@@ -126,10 +138,12 @@ def test_oracle_census_frozen():
 def test_oracle_census_runs_no_word_route(monkeypatch):
     # the mask oracle is a route of its own: it must never group normal
     # forms by cyclic conjugacy
-    def no_words(word):
+    def no_words(*args):
         raise AssertionError("the oracle reached the word route")
 
-    monkeypatch.setattr(census, "canonical_cyclic_form", no_words)
+    monkeypatch.setattr(census, "normal_form_letters", no_words)
+    monkeypatch.setattr(census, "canonical_letters", no_words)
+    census._oracle_tally.cache_clear()
     assert [(r.t, r.D, r.n, r.count) for r in oracle_census(12, 2)] == [
         (r.t, r.D, r.n, r.count) for r in excursion_census(12, 2)
     ]
@@ -192,9 +206,7 @@ def test_oracle_counts_its_classes_in_a_byte_table():
 def test_bijection_suite_reports_an_unpaired_word_route(monkeypatch):
     # a word route that merges every normal form into one class fails the
     # suite through its checks: exit 1, FAIL lines, no traceback
-    monkeypatch.setattr(
-        census, "canonical_cyclic_form", lambda word: GroupWord.from_string("ab")
-    )
+    monkeypatch.setattr(census, "canonical_letters", lambda letters: "ab")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(["verify", "--suite", "bijection"])
@@ -383,19 +395,31 @@ def test_word_suites_visit_every_sign_tuple_once(monkeypatch):
     # the bijection and matrices suites each build the normal form of every
     # one of the 2^t sign tuples, and of none twice
     seen = []
-    build = census.reciprocal_word
-    monkeypatch.setattr(census, "reciprocal_word", lambda eps: seen.append(eps.signs) or build(eps))
+    spell = census.normal_form_letters
+    monkeypatch.setattr(
+        census, "normal_form_letters", lambda t: (seen.append(w) or w for w in spell(t))
+    )
+    canonical = census.canonical_letters
+    canonicalised = []
+    monkeypatch.setattr(
+        census, "canonical_letters", lambda w: canonicalised.append(w) or canonical(w)
+    )
 
     def every(t):
-        return sorted(itertools.product((1, -1), repeat=t))
+        return sorted(
+            reciprocal_word(EpsilonSeq(s)).word.letters
+            for s in itertools.product((1, -1), repeat=t)
+        )
 
     for t in range(1, 9):
         seen.clear()
+        canonicalised.clear()
         conjugacy_class_sizes(t)
         assert sorted(seen) == every(t)
+        assert sorted(canonicalised) == every(t)
     seen.clear()
     assert suite_matrices(6).passed
-    assert sorted(seen) == sorted(s for t in range(1, 7) for s in every(t))
+    assert sorted(seen) == sorted(w for t in range(1, 7) for w in every(t))
 
 
 def test_matrices_suite_evaluates_each_word_once(monkeypatch):

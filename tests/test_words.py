@@ -13,8 +13,10 @@ from cuspcensus.words import (
     GroupWord,
     NotNormalForm,
     canonical_cyclic_form,
+    canonical_letters,
     epsilon_of,
     excursion_parts,
+    normal_form_letters,
     projectivize,
     reciprocal_word,
     reduce_word,
@@ -98,6 +100,15 @@ def test_invalid_items_keep_their_messages():
     assert EpsilonSeq((1, -1)).t == 2
 
 
+@pytest.mark.parametrize("bad", [(1, True), (True,), (1.0, -1.0), (1, -1.0)])
+def test_eps_rejects_signs_that_are_not_ints(bad):
+    # True == 1 and 1.0 == 1, so a set test alone would hold them as signs
+    # that compare equal to the int tuple and print as they came
+    with pytest.raises(ValueError) as info:
+        EpsilonSeq(bad)
+    assert str(info.value) == f"signs must be +1 or -1, got {bad!r}"
+
+
 def test_eps_reads_any_iterable_of_signs():
     # a list or an iterator of signs is held as the tuple it yields: it
     # compares and hashes as that tuple, and an iterator is read once,
@@ -137,6 +148,20 @@ def test_reciprocal_word_frozen_examples():
         nf = reciprocal_word(EpsilonSeq(eps))
         assert str(nf.word) == expected
         assert len(nf.word) == 4 * len(eps)
+
+
+def test_normal_form_letters_spell_the_template_in_tuple_order():
+    for t in range(1, 11):
+        assert list(normal_form_letters(t)) == [
+            reciprocal_word(EpsilonSeq(s)).word.letters
+            for s in itertools.product((1, -1), repeat=t)
+        ]
+
+
+def test_normal_form_letters_checks_t_before_it_yields():
+    with pytest.raises(ValueError) as info:
+        normal_form_letters(0)
+    assert str(info.value) == "t must be >= 1, got 0"
 
 
 def test_reciprocal_word_is_reduced():
@@ -413,6 +438,16 @@ def test_canonical_cyclic_form_breaks_ties_between_longest_runs():
             for rotated in (text, text[1:] + text[0]):
                 canon = canonical_cyclic_form(GroupWord.from_string(rotated))
                 assert letters(canon) == least_rotation(rotated)
+
+
+def test_canonical_letters_validate_like_a_word():
+    with pytest.raises(ValueError) as word:
+        GroupWord("abx")
+    with pytest.raises(ValueError) as text:
+        canonical_letters("abx")
+    assert str(text.value) == str(word.value)
+    assert canonical_letters(("B", "a", "b", "a", "B", "a")) == "abaBaB"
+    assert canonical_letters("") == "" and str(canonical_cyclic_form(GroupWord(""))) == "1"
 
 
 def test_canonical_cyclic_form_separates_nonconjugates():
