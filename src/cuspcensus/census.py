@@ -27,13 +27,12 @@ import functools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import compress, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
-from ._contract import check_least
+from ._contract import Value, check_least
 from .compositions import (
     census_column,
     census_row,
@@ -69,20 +68,22 @@ class CapExceeded(ValueError):
     """Requested an oracle sweep beyond its configured exhaustive cap."""
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(Value):
     """One census cell: reciprocal geodesics of word length 4t with
-    exactly 2n excursions of depth bigger than D."""
+    exactly 2n excursions of depth bigger than D; source is "dp" or
+    "oracle"."""
 
-    t: int
-    D: int
-    n: int
-    count: int
-    source: str  # "dp" | "oracle"
+    __slots__ = ("t", "D", "n", "count", "source")
+
+    def __init__(self, t: int, D: int, n: int, count: int, source: str):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Value):
     """A single named verification with its numbers pinned.
 
     comparison "within": passes iff |measured - expected| <= tolerance,
@@ -91,20 +92,31 @@ class Check:
     All comparisons are exact (Fraction arithmetic on the stored values).
     """
 
-    name: str
-    parameters: tuple
-    measured: Number
-    expected: Number
-    tolerance: Number
-    relative: bool
-    comparison: str
-    passed: bool
+    __slots__ = (
+        "name", "parameters", "measured", "expected", "tolerance", "relative",
+        "comparison", "passed",
+    )
+
+    def __init__(self, name: str, parameters: tuple, measured: Number, expected: Number,
+                 tolerance: Number, relative: bool, comparison: str, passed: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "measured", measured)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "relative", relative)
+        object.__setattr__(self, "comparison", comparison)
+        object.__setattr__(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    name: str
-    checks: tuple[Check, ...]
+class VerificationReport(Value):
+    """The checks of one suite, under its name."""
+
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str, checks: tuple[Check, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -298,8 +310,7 @@ def verify_theorem_two_excursions(
     return VerificationReport(f"two_excursions_D={D}", tuple(checks))
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(Value):
     """One family row of the headline growth table.
 
     approx is the nearest float to the family's growth law or, beyond the
@@ -308,12 +319,16 @@ class Table1Row:
     Decimal of its nearest spectral.RATIO_DPS digits.
     """
 
-    family: str
-    t: int
-    D: Optional[int]
-    n: Optional[int]
-    exact: int
-    approx: Optional[Union[float, Decimal]]
+    __slots__ = ("family", "t", "D", "n", "exact", "approx")
+
+    def __init__(self, family: str, t: int, D: Optional[int], n: Optional[int], exact: int,
+                 approx: Optional[Union[float, Decimal]]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "approx", approx)
 
 
 def _approx(value: Union[float, tuple[int, int]]) -> Union[float, Decimal]:

@@ -13,16 +13,17 @@ naming the flag in its message; no command checks a flag itself.
 Commands hand records to the Emitter in blocks: a census row is one
 block, its t, D and source shared by every record and its n and count one
 column each, and enumerate hands it the compositions a chunk at a time,
-each record's signs spelled from its parts.  One pass over a
-block's keys encodes its shared values into a record template, and the
-block is written in slices of a fixed number of records, each encoded
-column-wise as one string.  Json-lines and csv records are written as
+each record's signs and word spelled from its parts as strings.  One
+pass over a block's keys encodes its shared values into a record
+template, and the block is written in slices of a fixed number of
+records, each encoded column-wise as one string.  Json-lines and csv records are written as
 they are emitted, so `verify` prints each suite as it finishes, and the
 lines of the suites before one that fails with exit 2 are already
 written; the table's records go to a spool that moves to a temporary
-file beyond a fixed size, and at the end it is read back a slice at a
-time, once for the column widths and once to pad the cells a column at
-a time.
+file beyond a fixed size (tempfile is imported when the first spool
+opens, as no other format needs it), and at the end it is read back a
+slice at a time, once for the column widths and once to pad the cells a
+column at a time.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import json
 import math
 import os
 import sys
-import tempfile
 from fractions import Fraction
-from itertools import chain, cycle, islice, repeat
-from typing import Optional
+from itertools import cycle, islice, repeat
+from typing import IO, Optional
 
 from ._contract import check_least
 from .census import DEFAULT_ORACLE_CAP, SUITES, table1
@@ -45,7 +45,7 @@ from .spectral import (
     RATIO_DPS, PrecisionExhausted, bounds_two_excursions_range, coefficient_d,
     limit_constant, solve_alpha,
 )
-from .words import EpsilonSeq, reciprocal_word
+from .words import composition_letters
 
 
 _JSON = json.JSONEncoder(separators=(", ", ": "))
@@ -234,7 +234,7 @@ class Emitter:
         self.out = out
         self.prefix, self.sep, self.suffix, self.by_type, self.token, self.quote = _FORMATS[fmt]
         self.keys: Optional[tuple[str, ...]] = None
-        self.rows: Optional[tempfile.SpooledTemporaryFile] = None
+        self.rows: Optional[IO[str]] = None
 
     def emit(self, block: dict) -> None:
         json_lines = self.fmt == "json-lines"
@@ -264,6 +264,10 @@ class Emitter:
             if self.fmt == "csv":
                 self.out.write(",".join(keys) + "\n")
             else:
+                # imported here: tempfile brings in shutil, random, bz2 and
+                # lzma, which no other format needs
+                import tempfile
+
                 self.rows = tempfile.SpooledTemporaryFile(
                     _TABLE_SPOOL_BYTES, "w+", encoding="utf-8", newline="\n")
         write = self.out.write if self.rows is None else self.rows.write
@@ -421,19 +425,18 @@ def _cmd_enumerate(args, emitter: Emitter) -> int:
     """Each composition of --t, with --n only those with exactly --n parts
     bigger than --D, emitted in blocks of _BLOCK_RECORDS compositions: its
     parts, its signs ("+" over the first part, "-" over the next, and so
-    on) and their reciprocal normal form."""
+    on) and their reciprocal normal form, spelled by
+    words.composition_letters."""
     parts = (comp.parts for comp in enumerate_compositions(args.t, args.n, args.D))
     start = 0
     for chunk in _chunks(parts):
-        # each part's sign repeated over its units, for the word layer
-        signs = [chain.from_iterable(map(repeat, cycle((1, -1)), p)) for p in chunk]
         emitter.emit(
             {
                 "index": range(start, start + len(chunk)),
                 "t": args.t,
                 "parts": ["+".join(map(str, p)) for p in chunk],
                 "eps": ["".join(map(str.__mul__, cycle("+-"), p)) for p in chunk],
-                "word": [str(reciprocal_word(EpsilonSeq(s)).word) for s in signs],
+                "word": list(map(composition_letters, chunk)),
             }
         )
         start += len(chunk)

@@ -114,6 +114,11 @@ def census_rows(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, list[int]]]
     return ((t, list(row)) for t, row in enumerate(rows, t_lo))
 
 
+#: the largest j at which census_row takes C(N, j) from math.comb: below
+#: about j = 100 it is quicker than a ratio step's Python arithmetic
+_COMB_J = 100
+
+
 def census_row(t: int, D: int) -> list[int]:
     """Counts of the compositions of t by their number of parts bigger
     than D: entry n is count_exact_excursions(t, n, D), for
@@ -121,13 +126,16 @@ def census_row(t: int, D: int) -> list[int]:
 
     In powers of y - 1, R_t(y) = sum_{j=0}^{J} b_j (y - 1)^j with
     J = t // (D+1) and b_j = [x^t] (1 - x) x^{j(D+1)} / (1 - 2x)^{j+1}.
-    With m = t - j(D+1),
-    b_j = C(m+j, j) 2^{m-1} (m + 2j) / (m + j) for m >= 1, where the
-    division is exact, and b_j = 1 for m = 0.  Every count is below 2^w,
-    w the least multiple of 8 with w >= t, so Horner's rule evaluates R_t
-    at y = 2^w on one integer, and its bytes, cut into w/8-byte pieces,
-    are the row: one binomial per coefficient and no walk from t = 0.
-    That integer is the size of the row returned.
+    With m = t - j(D+1) and N = m + j = t - jD,
+    b_j = C(N, j) 2^{m-1} (m + 2j) / N for m >= 1, where the division is
+    exact, and b_j = 1 for m = 0.  Every count is below 2^w, w the least
+    multiple of 8 with w >= t, so Horner's rule evaluates R_t at y = 2^w
+    on one integer, and its bytes, cut into w/8-byte pieces, are the row:
+    no walk from t = 0.  That integer is the size of the row returned.
+    Above j = _COMB_J the binomials are one pass: C(N, J) once, then from
+    j to j - 1 the exact ratio step C(N + D, j - 1) = C(N, j) j
+    (N+1)...(N+D) / ((m+1)...(m+D+1)), multiplied before it is divided;
+    from j = _COMB_J down, math.comb(N, j) costs less than a step.
 
     >>> census_row(7, 1)
     [1, 21, 35, 7]
@@ -135,6 +143,11 @@ def census_row(t: int, D: int) -> list[int]:
     [5, 3]
     >>> census_row(0, 3)
     [1]
+    >>> row = census_row(3000, 4)
+    >>> len(row), sum(row) == count_all(3000)
+    (601, True)
+    >>> [row[n] == count_exact_excursions(3000, n, 4) for n in (0, 1, 299, 600)]
+    [True, True, True, True]
     """
     check_least(t=(t, 0), D=(D, 1))
     if t == 0:
@@ -145,8 +158,14 @@ def census_row(t: int, D: int) -> list[int]:
     acc = 0
     for j in range(J, -1, -1):
         m = t - j * (D + 1)
-        b = (math.comb(m + j, j) * (m + 2 * j) // (m + j)) << (m - 1) if m else 1
+        N = m + j
+        if j == J or j <= _COMB_J:
+            binomial = math.comb(N, j)
+        b = (binomial * (m + 2 * j) // N) << (m - 1) if m else 1
         acc = (acc << w) - acc + b  # acc * (y - 1) + b_j at y = 2^w
+        if j > _COMB_J:
+            binomial = (binomial * (j * math.prod(range(N + 1, N + D + 1)))
+                        // math.prod(range(m + 1, m + D + 2)))
     data = acc.to_bytes(size * (J + 1), "little")
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
 

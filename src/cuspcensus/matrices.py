@@ -21,24 +21,23 @@ once, on the whole product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._contract import Value
 from .words import EpsilonSeq, GroupWord, reciprocal_word
 
 
-@dataclass(frozen=True)
-class Mat2Z:
+class Mat2Z(Value):
     """A 2x2 integer matrix [[p, q], [r, s]] with determinant one."""
 
-    p: int
-    q: int
-    r: int
-    s: int
+    __slots__ = ("p", "q", "r", "s")
 
-    def __post_init__(self):
-        d = self.p * self.s - self.q * self.r
+    def __init__(self, p: int, q: int, r: int, s: int):
+        d = p * s - q * r
         if d != 1:
             raise ValueError(f"determinant must be 1, got {d}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
     def __mul__(self, other: Mat2Z) -> Mat2Z:
         return Mat2Z(
@@ -102,16 +101,16 @@ def _leading_sign(m: Mat2Z) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class PSL2Element:
+class PSL2Element(Value):
     """A matrix mod +-I, stored with the first nonzero of (p, q, r, s)
     positive."""
 
-    rep: Mat2Z
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        if _leading_sign(self.rep) != 1:
+    def __init__(self, rep: Mat2Z):
+        if _leading_sign(rep) != 1:
             raise ValueError("representative is not sign-canonical")
+        object.__setattr__(self, "rep", rep)
 
     @classmethod
     def of(cls, m: Mat2Z) -> PSL2Element:
@@ -128,7 +127,9 @@ class PSL2Element:
         return abs(self.rep.trace)
 
     def is_identity(self) -> bool:
-        return self.rep == IDENTITY
+        # entry by entry: classify asks this of every evaluated word
+        m = self.rep
+        return m.p == 1 and m.q == 0 and m.r == 0 and m.s == 1
 
 
 def evaluate(w: GroupWord) -> PSL2Element:

@@ -47,11 +47,10 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
-from ._contract import check_least
+from ._contract import Value, check_least
 
 RationalLike = Union[int, Fraction]
 _T = TypeVar("_T")
@@ -136,28 +135,31 @@ class _Dyadic:
         return _Dyadic(low, _power(self.hi, t, self.k, True), self.k)
 
 
-@dataclass(frozen=True)
-class AlphaEnclosure:
+class AlphaEnclosure(Value):
     """A bisection bracket for the growth rate alpha_D.
 
     Self-validating: construction rechecks the sign change of p_D and the
     a-priori bounds 2(1 - 2^-D) <= lo < hi < 2.
     """
 
-    D: int
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("D", "lo", "hi")
 
-    def __post_init__(self):
-        check_least(D=(self.D, 2))
-        if not Fraction(2) - Fraction(1, 1 << (self.D - 1)) <= self.lo < self.hi < 2:
+    def __init__(self, D: int, lo: Fraction, hi: Fraction):
+        check_least(D=(D, 2))
+        if not Fraction(2) - Fraction(1, 1 << (D - 1)) <= lo < hi < 2:
             raise ValueError("enclosure violates the a-priori bracket")
-        lo, hi = (
-            _scaled_poly_value(self.D, z.numerator, z.denominator)
-            for z in (self.lo, self.hi)
+        below, above = (
+            _scaled_poly_value(D, z.numerator, z.denominator) for z in (lo, hi)
         )
-        if not lo < 0 < hi:
+        if not below < 0 < above:
             raise ValueError("enclosure does not bracket the root")
+        self._set(D, lo, hi)
+
+    def _set(self, D: int, lo: Fraction, hi: Fraction) -> None:
+        """Set the fields, past the immutable __setattr__ and unchecked."""
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
@@ -167,16 +169,16 @@ class AlphaEnclosure:
         return (self.lo + self.hi) / 2
 
 
-@dataclass(frozen=True)
-class ConstantEnclosure:
+class ConstantEnclosure(Value):
     """Exact rational bounds lo <= c <= hi for a derived constant."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty enclosure [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty enclosure [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self) -> Fraction:
@@ -304,9 +306,9 @@ def solve_alpha(D: int, tol: RationalLike = Fraction(1, 10**12)) -> AlphaEnclosu
     lo, hi = _bracket(D, steps)
     unit = 1 << (D - 1 + steps)
     # _bracket has just certified the signs that AlphaEnclosure(...) would
-    # test again, so the fields are set past the frozen __setattr__
+    # test again, so the slots are set without its checks
     enclosure = object.__new__(AlphaEnclosure)
-    vars(enclosure).update(D=D, lo=Fraction(lo, unit), hi=Fraction(hi, unit))
+    enclosure._set(D, Fraction(lo, unit), Fraction(hi, unit))
     return enclosure
 
 
@@ -538,8 +540,7 @@ def _bounds_range(t_lo: int, t_hi: int, D: int) -> Iterator[tuple[int, Fraction,
         yield t, Fraction(lower, 1 << k), Fraction(upper, 1 << k)
 
 
-@dataclass(frozen=True)
-class TermReport:
+class TermReport(Value):
     """Diagnostic growth ratios of the three sums behind the two-excursion
     asymptotics.
 
@@ -550,10 +551,14 @@ class TermReport:
     factors over the same powers, so ratio2 and ratio3 are one value.
     """
 
-    D: int
-    t_max: int
-    term1_limit: float
-    rows: tuple[tuple[int, float, float, float], ...]
+    __slots__ = ("D", "t_max", "term1_limit", "rows")
+
+    def __init__(self, D: int, t_max: int, term1_limit: float,
+                 rows: tuple[tuple[int, float, float, float], ...]):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "t_max", t_max)
+        object.__setattr__(self, "term1_limit", term1_limit)
+        object.__setattr__(self, "rows", rows)
 
 
 _REPORT_STEPS = 128  # bisection depth of the term report

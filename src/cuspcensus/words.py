@@ -26,16 +26,19 @@ The word route has two string kernels, which the object functions wrap:
 template that :func:`reciprocal_word` uses, and :func:`canonical_letters`
 reduces, cyclically reduces and rotates a string of letters to its least
 rotation, on the full alternating text, which is what
-:func:`canonical_cyclic_form` returns as a word.
+:func:`canonical_cyclic_form` returns as a word.  From the same template,
+:func:`composition_letters` spells the normal form of one run sequence.
+
+The record types here are values of ``_contract.Value``: immutable,
+slotted, and compared and hashed by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import cycle, groupby, product
 from typing import Iterator
 
-from ._contract import check_least
+from ._contract import Value, check_least
 
 ALPHABET = ("a", "b", "B")
 
@@ -54,8 +57,7 @@ class NotNormalForm(ValueError):
     """Raised when a word does not match the reciprocal template."""
 
 
-@dataclass(frozen=True)
-class EpsilonSeq:
+class EpsilonSeq(Value):
     """A nonempty tuple of signs, each +1 or -1; any other iterable of
     signs is read as the tuple it yields.
 
@@ -63,18 +65,18 @@ class EpsilonSeq:
     length ``4t``; see :func:`reciprocal_word`.
     """
 
-    signs: tuple[int, ...]
+    __slots__ = ("signs",)
 
-    def __post_init__(self):
-        if type(self.signs) is not tuple:
-            object.__setattr__(self, "signs", tuple(self.signs))
-        signs = self.signs
+    def __init__(self, signs: tuple[int, ...]):
+        if type(signs) is not tuple:
+            signs = tuple(signs)
         if not signs:
             raise ValueError("sign tuple must be nonempty")
         # ints first, so that True and 1.0 are not read as 1, and the set
         # test meets only hashable items
         if set(map(type, signs)) != {int} or not _SIGNS.issuperset(signs):
             raise ValueError(f"signs must be +1 or -1, got {signs!r}")
+        object.__setattr__(self, "signs", signs)
 
     @property
     def t(self) -> int:
@@ -90,20 +92,19 @@ class EpsilonSeq:
         return EpsilonSeq(tuple(-s for s in self.signs))
 
 
-@dataclass(frozen=True)
-class ProjectiveEpsilonSeq:
+class ProjectiveEpsilonSeq(Value):
     """The class {e, -e} of a sign tuple, represented by its member with
     leading +1."""
 
-    canonical: EpsilonSeq
+    __slots__ = ("canonical",)
 
-    def __post_init__(self):
-        if self.canonical.signs[0] != 1:
+    def __init__(self, canonical: EpsilonSeq):
+        if canonical.signs[0] != 1:
             raise ValueError("canonical representative must start with +1")
+        object.__setattr__(self, "canonical", canonical)
 
 
-@dataclass(frozen=True)
-class GroupWord:
+class GroupWord(Value):
     """A word over {a, b, b^-1}, not necessarily reduced, held as the string
     of its letters; it compares and hashes by that string.  Any other
     iterable of letters is read as the string they spell.
@@ -114,18 +115,17 @@ class GroupWord:
     True
     """
 
-    letters: str
+    __slots__ = ("letters",)
 
-    def __post_init__(self):
-        letters = self.letters
+    def __init__(self, letters: str):
         # a string of valid letters strips to nothing, in one C-level pass
-        if isinstance(letters, str) and not letters.strip(_LETTERS):
-            return
-        letters = list(letters)
-        for s in letters:
-            if s not in ALPHABET:
-                raise ValueError(f"invalid syllable {s!r}, expected one of {ALPHABET}")
-        object.__setattr__(self, "letters", "".join(letters))
+        if not isinstance(letters, str) or letters.strip(_LETTERS):
+            letters = list(letters)
+            for s in letters:
+                if s not in ALPHABET:
+                    raise ValueError(f"invalid syllable {s!r}, expected one of {ALPHABET}")
+            letters = "".join(letters)
+        object.__setattr__(self, "letters", letters)
 
     @property
     def syllables(self) -> tuple[str, ...]:
@@ -154,34 +154,33 @@ class GroupWord:
         return not any(map(self.letters.__contains__, _PRODUCT))
 
 
-@dataclass(frozen=True)
-class ReciprocalNormalForm:
+class ReciprocalNormalForm(Value):
     """A sign tuple together with its length-4t reciprocal word."""
 
-    eps: EpsilonSeq
-    word: GroupWord
+    __slots__ = ("eps", "word")
 
-    def __post_init__(self):
-        if len(self.word) != 4 * self.eps.t:
+    def __init__(self, eps: EpsilonSeq, word: GroupWord):
+        if len(word) != 4 * eps.t:
             raise ValueError("word length must be exactly 4t")
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "word", word)
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Value):
     """An ordered tuple of positive integers; the empty tuple is the unique
     composition of 0.  Any other iterable of parts is read as the tuple it
     yields."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if type(self.parts) is not tuple:
-            object.__setattr__(self, "parts", tuple(self.parts))
-        parts = self.parts
+    def __init__(self, parts: tuple[int, ...]):
+        if type(parts) is not tuple:
+            parts = tuple(parts)
         # two C-level passes, since enumerate_compositions builds one per
         # composition it yields
         if parts and (set(map(type, parts)) != {int} or min(parts) < 1):
-            raise ValueError(f"parts must be positive ints, got {self.parts!r}")
+            raise ValueError(f"parts must be positive ints, got {parts!r}")
+        object.__setattr__(self, "parts", parts)
 
     @property
     def total(self) -> int:
@@ -209,6 +208,24 @@ def normal_form_letters(t: int) -> Iterator[str]:
     """
     check_least(t=(t, 1))
     return map(_template, map("".join, product((_PAIR[1], _PAIR[-1]), repeat=t)))
+
+
+def composition_letters(parts: tuple[int, ...]) -> str:
+    """The letters of the reciprocal normal form whose signs start at +1
+    and change after each part, so that :func:`run_sequence` of its sign
+    tuple gives ``parts``; spelled as one string from the template of
+    :func:`normal_form_letters`.  The parts must be a nonempty sequence of
+    positive ints.
+
+    >>> composition_letters((2, 1))
+    'ababaBabaBaB'
+    >>> str(reciprocal_word(EpsilonSeq((1, 1, -1))).word)
+    'ababaBabaBaB'
+    """
+    # an empty tuple has no type of part, so it fails the first test
+    if set(map(type, parts)) != {int} or min(parts) < 1:
+        raise ValueError(f"parts must be nonempty positive ints, got {parts!r}")
+    return _template("".join(map(str.__mul__, cycle((_PAIR[1], _PAIR[-1])), parts)))
 
 
 def reciprocal_word(eps: EpsilonSeq) -> ReciprocalNormalForm:

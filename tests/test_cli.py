@@ -697,9 +697,10 @@ class LargestWrite:
 def test_a_long_block_is_written_a_slice_at_a_time(monkeypatch, fmt):
     import cuspcensus.cli as cli
 
-    # the table's rows go to its spool, not to the sink, until close
+    # the table's rows go to its spool, not to the sink, until close; the
+    # emitter imports tempfile when it opens the spool
     spool = LargestWrite()
-    monkeypatch.setattr(cli.tempfile, "SpooledTemporaryFile",
+    monkeypatch.setattr(tempfile, "SpooledTemporaryFile",
                         lambda size, mode, encoding, newline: spool)
     sink = LargestWrite()
     emitter = Emitter(fmt, sink)

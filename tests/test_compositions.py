@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from cuspcensus import compositions
 from cuspcensus.census import excursion_census
 from cuspcensus.compositions import (
+    _COMB_J,
     census_column,
     census_row,
     census_rows,
@@ -457,6 +458,18 @@ def test_census_rows_match_single_rows(t_lo, span, D):
     assert list(census_rows(t_lo, t_hi, D)) == [
         (t, census_row(t, D)) for t in range(t_lo, t_hi + 1)
     ]
+
+
+def test_single_rows_match_the_kernel_at_every_small_t():
+    # every t up to where census_row's rows have 10 coefficients past
+    # _COMB_J, so that both its binomial routes (the ratio steps above
+    # _COMB_J, math.comb from there down) and each t that D+1 divides (the
+    # coefficient b_J = 1) meet the kernel's walk
+    for D in range(1, 5):
+        t_max = (_COMB_J + 10) * (D + 1)
+        assert [census_row(t, D) for t in range(t_max + 1)] == [
+            row for _, row in census_rows(0, t_max, D)
+        ]
 
 
 def test_census_rows_check_arguments_at_the_call():

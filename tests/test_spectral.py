@@ -293,7 +293,7 @@ def test_spectral_builds_fractions_only_for_returned_values():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction"
     }
     assert builders == {
-        "enclosure", "__post_init__", "_tolerance", "solve_alpha",
+        "enclosure", "__init__", "_tolerance", "solve_alpha",
         "limit_constant", "_bounds_range",
     }
 

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from cuspcensus.compositions import enumerate_compositions
 from cuspcensus.words import (
     ALPHABET,
     Composition,
@@ -14,6 +15,7 @@ from cuspcensus.words import (
     NotNormalForm,
     canonical_cyclic_form,
     canonical_letters,
+    composition_letters,
     epsilon_of,
     excursion_parts,
     normal_form_letters,
@@ -156,6 +158,25 @@ def test_normal_form_letters_spell_the_template_in_tuple_order():
             reciprocal_word(EpsilonSeq(s)).word.letters
             for s in itertools.product((1, -1), repeat=t)
         ]
+
+
+def test_composition_letters_spell_the_word_of_the_signs():
+    # signs from +1, changing after each part: the same letters as the
+    # object route, and the run sequence gives the parts back
+    for t in range(1, 11):
+        for comp in enumerate_compositions(t):
+            eps = EpsilonSeq(itertools.chain.from_iterable(
+                itertools.repeat(sign, part)
+                for sign, part in zip(itertools.cycle((1, -1)), comp.parts)
+            ))
+            assert composition_letters(comp.parts) == reciprocal_word(eps).word.letters
+            assert run_sequence(eps) == comp
+
+
+@pytest.mark.parametrize("parts", [(), (0,), (2, -1), (1, True), (1.0,), ("a",)])
+def test_composition_letters_reject_what_is_not_a_run_sequence(parts):
+    with pytest.raises(ValueError, match="nonempty positive ints"):
+        composition_letters(parts)
 
 
 def test_normal_form_letters_checks_t_before_it_yields():
