@@ -183,27 +183,26 @@ def reciprocity_check(eps: EpsilonSeq) -> bool:
     return factors_through_involution(word, evaluate(word))
 
 
+def _involution(x: Mat2Z) -> Mat2Z:
+    """P = x a x^{-1} in closed form: with x = [[p, q], [r, s]] and
+    a = [[0, -1], [1, 0]], P = [[pr + qs, -(p^2 + q^2)], [r^2 + s^2,
+    -(pr + qs)]], built as one :class:`Mat2Z`, so det P = 1 is checked."""
+    u = x.p * x.r + x.q * x.s
+    return Mat2Z(u, -(x.p * x.p + x.q * x.q), x.r * x.r + x.s * x.s, -u)
+
+
 def factors_through_involution(word: GroupWord, value: PSL2Element) -> bool:
     """The check of :func:`reciprocity_check` on a reciprocal normal form
-    `word` whose evaluation `value` is already known: P = x a x^{-1}, with
-    x the first half of word, is an involution and value = P * a.  Only
-    the half word is evaluated here.
+    `word` whose evaluation `value` is already known: value = P * a for
+    P = x a x^{-1}, with x the first half of word.  Only the half word is
+    evaluated here.
 
-    With x = [[p, q], [r, s]] and a = [[0, -1], [1, 0]],
-    P = [[pr + qs, -(p^2 + q^2)], [r^2 + s^2, -(pr + qs)]], built as one
-    :class:`Mat2Z` (so det P = 1 is checked), and P * a =
-    [[P_q, -P_p], [P_s, -P_r]]; both products are compared entry by entry,
-    up to sign.
+    P is an involution by construction: it has trace 0 and determinant 1,
+    so P^2 = -I by Cayley-Hamilton, and a test of its square could never
+    fail.  What is compared is P * a = [[P_q, -P_p], [P_s, -P_r]] with
+    value, entry by entry, up to sign.
     """
-    x = evaluate(GroupWord(word.letters[: len(word) // 2])).rep
-    u = x.p * x.r + x.q * x.s
-    p = Mat2Z(u, -(x.p * x.p + x.q * x.q), x.r * x.r + x.s * x.s, -u)
-    square = (
-        p.p * p.p + p.q * p.r, p.p * p.q + p.q * p.s,
-        p.r * p.p + p.s * p.r, p.r * p.q + p.s * p.s,
-    )
+    p = _involution(evaluate(GroupWord(word.letters[: len(word) // 2])).rep)
     times_a = (p.q, -p.p, p.s, -p.r)
     m = value.rep
-    return square in ((1, 0, 0, 1), (-1, 0, 0, -1)) and (m.p, m.q, m.r, m.s) in (
-        times_a, tuple(-e for e in times_a)
-    )
+    return (m.p, m.q, m.r, m.s) in (times_a, tuple(-e for e in times_a))

@@ -12,9 +12,11 @@ computed with certified enclosures of one kind, ``_Dyadic``: a real x is
 held as integers lo <= x * 2^k <= hi, and every operation rounds outward.
 
 - alpha_D is bracketed by [m, m+1]/2^K, the bracket that K-D+1
-  bisection steps would reach: m = floor(alpha_D 2^K) is found by integer
-  Newton iteration and certified by the signs of the integers
-  2^(KD) p_D(m/2^K) < 0 < 2^(KD) p_D((m+1)/2^K), by Horner's rule.
+  bisection steps would reach.  m = floor(alpha_D 2^K) is found by
+  Newton's method on q(z) = (z - 1) p_D(z) = z^D (z - 2) + 1 in fixed
+  point, one step per doubling of the precision, and certified by the
+  signs of the integers 2^(K(D+1)) q(m/2^K) < 0 < 2^(K(D+1)) q((m+1)/2^K),
+  each m^D (m - 2^(K+1)) + 2^(K(D+1)) for its m.
   At tolerance p/q, solve_alpha takes s = max(1, bitlen(floor((q-1)/p))
   - D + 2) steps, the least s >= 1 with width 2^-(D+s-2) <= p/q.
 - d_D, d_D * alpha_D^t, the two-excursion limit constant and bounds
@@ -148,9 +150,7 @@ class AlphaEnclosure(Value):
         check_least(D=(D, 2))
         if not Fraction(2) - Fraction(1, 1 << (D - 1)) <= lo < hi < 2:
             raise ValueError("enclosure violates the a-priori bracket")
-        below, above = (
-            _scaled_poly_value(D, z.numerator, z.denominator) for z in (lo, hi)
-        )
+        below, above = (_scaled_q(D, z.numerator, z.denominator) for z in (lo, hi))
         if not below < 0 < above:
             raise ValueError("enclosure does not bracket the root")
         self._set(D, lo, hi)
@@ -188,37 +188,53 @@ class ConstantEnclosure(Value):
         return (self.lo + self.hi) / 2
 
 
-def _scaled_poly_value(D: int, num: int, den: int) -> int:
-    """den^D p_D(num/den) for den > 0, exactly, by Horner's rule on
-    integers; its sign is the sign of p_D(num/den)."""
+def _scaled_q(D: int, num: int, den: int) -> int:
+    """den^(D+1) q(num/den) = num^D (num - 2 den) + den^(D+1), exactly, for
+    q(z) = z^D (z - 2) + 1 = (z - 1) p_D(z): for num/den > 1 its sign is
+    the sign of p_D(num/den)."""
     shift = den.bit_length() - 1
-    dyadic = den == 1 << shift  # then den^j is a shift, much cheaper
-    acc = power = 1
-    for _ in range(D):
-        power = power << shift if dyadic else power * den
-        acc = acc * num - power
-    return acc
+    # a power of two den is a shift, much cheaper than a power
+    top = 1 << shift * (D + 1) if den == 1 << shift else den ** (D + 1)
+    return num**D * (num - 2 * den) + top
 
 
-def _newton_above(D: int, k: int) -> int:
-    """An integer x > alpha_D * 2^k, close above it.
+# guard bits of the Newton iteration's fixed point, past the bracket's grid
+_NEWTON_GUARD_BITS = 32
 
-    Integer Newton iteration on q(z) = (z - 1) p_D(z) = z^(D+1) - 2z^D + 1
-    at z = x/2^k, from z = 2, with the precision doubled up to k.  On
-    [2D/(D+1), 2], which contains alpha_D, q is increasing and convex, so
-    every Newton step lands at or above the root, and rounding the step
-    down keeps the integer iterate there too.
+# units of 2^-K that the certificate may walk from the Newton candidate
+_WALK_LIMIT = 8
+
+
+def _alpha_candidate(D: int, k: int) -> int:
+    """An integer within a few units of alpha_D * 2^k.
+
+    Newton's method on q(z) = z^D (z - 2) + 1 from z = 2, whose first
+    step, to 2 - 2^-D, is exact and taken here in closed form.  That
+    iterate is within D 2^-(2D+1) (1 + o(1)) of alpha_D: it has
+    b = max(1, 2(D - bitlen(D))) correct bits, and more than log2(D)
+    to spare, so that each Newton step, which about doubles the correct
+    bits, stays ahead of b when it takes b to 2b + 1, up to k.  The step
+    works in fixed point over 2^w, w = b + 32: it evaluates q and
+    q'(z) = z^(D-1) ((D+1) z - 2D) from z^(D-1), by D - 2 products, each
+    truncated to w bits.  Nothing here is certified: _bracket certifies
+    what it returns.
     """
-    x = _newton_above(D, (k + 1) // 2) << (k // 2) if k > 32 else 2 << k
-    while True:
-        power = x ** (D - 1)
-        # 2^(k(D+1)) q(x/2^k) and 2^(kD) q'(x/2^k)
-        value = power * x * (x - (2 << k)) + (1 << k * (D + 1))
-        slope = power * ((D + 1) * x - (D << (k + 1)))
-        step = value // slope
-        if not step:
-            return x
-        x -= step
+    z, w = (2 << D) - 1, D
+    bits = 2 * (D - D.bit_length()) or 1
+    products = range(D - 2)
+    while bits < k:
+        bits = 2 * bits + 1 if 2 * bits + 1 < k else k
+        v = bits + _NEWTON_GUARD_BITS
+        z <<= v - w
+        w = v
+        power = z  # z^(D-1) over 2^w
+        for _ in products:
+            power = power * z >> w
+        # with t = z - 2: 2^(3w) q(z) = power z t + 2^(3w) over
+        # 2^(2w) q'(z) = power (z + D t)
+        t = z - (2 << w)
+        z -= (power * z * t + (1 << 3 * w)) // (power * (z + D * t))
+    return z >> (w - k) if w > k else z << (k - w)
 
 
 def _bracket(D: int, steps: int) -> tuple[int, int]:
@@ -227,19 +243,28 @@ def _bracket(D: int, steps: int) -> tuple[int, int]:
 
     Every bisection endpoint lies on the grid of multiples of 2^-K and
     alpha_D is irrational, so that bracket is [m, m+1]/2^K with
-    m = floor(alpha_D * 2^K).  m is found by Newton iteration and
-    certified by the sign of p_D at both ends: a pure function of
-    (D, steps), so determinism is exact, not just up to tolerance.
+    m = floor(alpha_D * 2^K).  A fixed-point Newton iteration lands within
+    a few units of m.  The walk from there to m is certified by the exact
+    signs of p_D at both ends, p_D(m/2^K) < 0 < p_D((m+1)/2^K), read from
+    _scaled_q: a pure function of (D, steps), so determinism is exact, not
+    just up to tolerance.  A walk of more than _WALK_LIMIT units raises
+    RuntimeError.
     """
     check_least(D=(D, 2), steps=(steps, 1))
     k = D - 1 + steps
-    hi = _newton_above(D, k)
-    if not _scaled_poly_value(D, hi, 1 << k) > 0:
-        raise RuntimeError(f"Newton iterate {hi}/2^{k} is not above alpha_{D}")
-    # p_D is never 0 on the grid: its only candidate rational roots are +-1
-    while _scaled_poly_value(D, hi - 1, 1 << k) > 0:
-        hi -= 1
-    return hi - 1, hi
+    unit = 1 << k
+    m = _alpha_candidate(D, k)
+    # above 1, q has the sign of p_D, which changes sign only at alpha_D
+    # and is never 0 on the grid: its only candidate rational roots are +-1
+    if m > unit:
+        below = _scaled_q(D, m, unit) < 0
+        step = 1 if below else -1
+        for _ in range(_WALK_LIMIT):
+            if (_scaled_q(D, m + step, unit) < 0) != below:
+                return (m, m + 1) if below else (m - 1, m)
+            m += step
+    raise RuntimeError(f"Newton candidate for alpha_{D} * 2^{k} is not within "
+                       f"{_WALK_LIMIT} units of it above 1")
 
 
 # a fixed number of enclosures is kept, enough for the closed forms of a

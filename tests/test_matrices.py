@@ -17,6 +17,7 @@ from cuspcensus.matrices import (
     IDENTITY,
     Mat2Z,
     PSL2Element,
+    _involution,
     classify,
     evaluate,
     factors_through_involution,
@@ -231,6 +232,20 @@ def test_factorization_check_reads_the_given_value():
         word = reciprocal_word(EpsilonSeq(tup)).word
         assert factors_through_involution(word, evaluate(word))
         assert not factors_through_involution(word, evaluate(GroupWord.from_string("ab")))
+
+
+def test_involution_closed_form_is_the_conjugate_of_a():
+    # P's closed form against x a x^{-1} as group products, for the half
+    # word x of every normal form with t <= 8
+    a = evaluate(GroupWord.from_string("a"))
+    forms = 0
+    for t in range(1, 9):
+        for tup in itertools.product((1, -1), repeat=t):
+            word = reciprocal_word(EpsilonSeq(tup)).word
+            x = evaluate(GroupWord(word.letters[: len(word) // 2]))
+            assert PSL2Element.of(_involution(x.rep)) == x * a * x.inverse()
+            forms += 1
+    assert forms == 2**9 - 2
 
 
 def test_reciprocal_element_conjugate_to_inverse():

@@ -24,7 +24,7 @@ from cuspcensus.spectral import (
     _Dyadic,
     _excursion_terms,
     _power,
-    _scaled_poly_value,
+    _scaled_q,
     _steps_for,
     bounds_two_excursions,
     bounds_two_excursions_range,
@@ -113,18 +113,27 @@ def plain_p(D, z):
     return z**D - sum(z**j for j in range(D))
 
 
-def test_poly_value_frozen():
-    # den^D p_D(num/den) by integer Horner
-    assert _scaled_poly_value(2, 2, 1) == 1
-    assert _scaled_poly_value(2, 1, 1) == -1
-    assert _scaled_poly_value(3, 3, 2) == 8 * (
-        Fraction(27, 8) - Fraction(9, 4) - Fraction(5, 2)
-    )
+def fraction_q(D, num, den):
+    """den^(D+1) q(num/den), q(z) = z^D (z - 2) + 1, on Fractions."""
+    z = Fraction(num, den)
+    return den ** (D + 1) * (z**D * (z - 2) + 1)
+
+
+def test_scaled_q_identities():
+    # den^(D+1) q(num/den), q(z) = z^D (z - 2) + 1 = (z - 1) p_D(z)
+    assert _scaled_q(2, 2, 1) == 1
+    assert _scaled_q(2, 1, 1) == 0  # z = 1 is the root that q adds to p_D
+    assert _scaled_q(3, 3, 2) == fraction_q(3, 3, 2) == 16 * (
+        Fraction(3, 2) - 1) * plain_p(3, Fraction(3, 2))
     for D in range(2, 16):
-        assert _scaled_poly_value(D, 2, 1) == 1  # telescoping: 2^D - (2^D - 1)
-        assert _scaled_poly_value(D, 1, 1) == 1 - D
-        assert _scaled_poly_value(D, 6, 3) == 3**D  # any denominator
-        assert _scaled_poly_value(D, 2 << 40, 1 << 40) == 1 << 40 * D
+        assert _scaled_q(D, 2, 1) == 1  # q(2) = 1 for every D
+        assert _scaled_q(D, 1, 1) == 0
+        assert _scaled_q(D, 6, 3) == 3 ** (D + 1)  # any denominator
+        assert _scaled_q(D, 2 << 40, 1 << 40) == 1 << 40 * (D + 1)  # a shift
+        for num, den in [(3, 2), (5, 3), (7, 4), (255, 128), (12345, 1 << 13)]:
+            z = Fraction(num, den)
+            assert _scaled_q(D, num, den) == fraction_q(D, num, den)
+            assert _scaled_q(D, num, den) == (num - den) * den**D * plain_p(D, z)
 
 
 # -- alpha enclosures ------------------------------------------------------------
@@ -247,6 +256,40 @@ def test_bracket_equals_bisection(D):
     wanted = (1, 2, 3, 64, 128, 640, 1280, 2560)
     expected = _bisection_brackets(D, wanted)
     assert {steps: _bracket(D, steps) for steps in wanted} == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 700))
+@example(2, 1)
+@example(60, 700)
+def test_bracket_equals_bisection_everywhere(D, steps):
+    assert _bracket(D, steps) == _bisection_brackets(D, {steps})[steps]
+
+
+@pytest.mark.parametrize("candidate", [
+    lambda D, k: 3 << k,  # far above alpha_D
+    lambda D, k: (3 << k) // 2,  # far below it
+    lambda D, k: 1 << k,  # z = 1, a root of q but not of p_D
+    lambda D, k: -(2 << k),  # below 1, where q and p_D need not share a sign
+    lambda D, k: -(618034 << k) // 10**6,  # at -1/phi, a root of p_2
+])
+def test_bracket_walks_a_bounded_distance(monkeypatch, candidate):
+    # the Newton candidate is not trusted: one far from alpha_D raises after
+    # a fixed number of sign tests, and one at or below 1 is not walked
+    calls = []
+    scaled_q = spectral._scaled_q
+
+    def counted(*args):
+        calls.append(args)
+        return scaled_q(*args)
+
+    monkeypatch.setattr(spectral, "_scaled_q", counted)
+    monkeypatch.setattr(spectral, "_alpha_candidate", candidate)
+    for D, steps in [(2, 16), (3, 16), (5, 64), (12, 640)]:
+        calls.clear()
+        with pytest.raises(RuntimeError, match="not within"):
+            _bracket(D, steps)
+        assert len(calls) <= spectral._WALK_LIMIT + 1
 
 
 def _spectral_tree():
@@ -496,16 +539,17 @@ def test_solve_alpha_checks_the_signs_once(monkeypatch, D, digits):
     # enclosure without evaluating p_D again, and the result passes the
     # public constructor's full validation
     calls = []
-    poly_value = spectral._scaled_poly_value
+    scaled_q = spectral._scaled_q
 
     def counted(*args):
         calls.append(args)
-        return poly_value(*args)
+        return scaled_q(*args)
 
-    monkeypatch.setattr(spectral, "_scaled_poly_value", counted)
+    monkeypatch.setattr(spectral, "_scaled_q", counted)
     tol = Fraction(1, 10**digits)
     _bracket(D, _steps_for(D, tol.numerator, tol.denominator))
     bracket_calls = len(calls)
+    assert bracket_calls >= 2  # a sign on each side of alpha_D
     calls.clear()
     enc = solve_alpha(D, tol)
     assert len(calls) == bracket_calls
