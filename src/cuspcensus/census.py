@@ -10,11 +10,10 @@ Counts are produced by two unrelated routes and compared cell by cell:
 
 * the DP route counts compositions of t with exactly n parts bigger
   than D;
-* the oracle route tallies all 2^t sign tuples as bit masks (bit i set
-  when e_{i+1} = -1): it projectivizes each by complementing the masks
-  with bit 0 set, counts the class sizes in a byte table of 2^t bytes,
-  verifies the two-to-one collapse, and reads the run lengths off the
-  bits where neighbouring signs differ.
+* the oracle route walks the sign tuples as bit masks (bit i set when
+  e_{i+1} = -1), one per class {e, -e}: the 2^{t-1} masks with bit 0
+  clear, so e_1 = +1, the representative words.projectivize picks.  It
+  reads the run lengths off the bits where neighbouring signs differ.
 
 Asymptotic statements are limits, so they are verified as convergence
 checks with explicit tolerances; every tolerance appears in the emitted
@@ -27,9 +26,8 @@ import functools
 import math
 import operator
 from collections import Counter
-from decimal import Decimal
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from ._contract import Value, check_least
@@ -43,6 +41,7 @@ from .compositions import (
     two_excursion_column,
 )
 from .spectral import (
+    Approximation,
     bounds_two_excursions_range,
     closed_form_count,
     excursion_term_report,
@@ -172,24 +171,11 @@ def _run_lengths(t: int, mask: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _oracle_tally(t: int) -> tuple[Counter, Counter]:
-    """Enumerate every sign mask at size t and projectivize it (complement
-    when bit 0 is set, so the representative starts with +1).  Returns
-    how many classes have each size, and the classes tallied by their
-    sorted run lengths, one entry per partition of t.  Cached per t.
-
-    The class sizes are counted in a byte table, one byte per mask
-    (2^t bytes), indexed by the representative; a size past 255 raises
-    ValueError rather than wrapping.
-    """
-    full = (1 << t) - 1
-    hits = bytearray(1 << t)
-    for m in range(1 << t):
-        hits[m ^ full if m & 1 else m] += 1
-    return (
-        Counter(filter(None, hits)),
-        Counter(_run_lengths(t, m) for m in compress(range(1 << t), hits)),
-    )
+def _oracle_tally(t: int) -> Counter:
+    """The sign tuples of size t up to negation, tallied by their sorted
+    run lengths: one entry per partition of t.  Each class {e, -e} is
+    walked once, as its mask with bit 0 clear.  Cached per t."""
+    return Counter(_run_lengths(t, m) for m in range(0, 1 << t, 2))
 
 
 def conjugacy_class_sizes(t: int) -> Counter:
@@ -208,17 +194,15 @@ def conjugacy_class_sizes(t: int) -> Counter:
 
 
 def oracle_census(t: int, D: int, cap: int = DEFAULT_ORACLE_CAP) -> list[CensusRow]:
-    """Brute-force census over sign masks, independent of the DP route and
-    of the word route.  Checks the two-to-one projectivization before the
-    tally; the cyclic-conjugacy pairing is suite_bijection's check."""
+    """Brute-force census over the sign tuples up to negation, independent
+    of the DP route and of the word route: it reads no name of
+    compositions.  The cyclic-conjugacy pairing is suite_bijection's
+    check."""
     check_least(t=(t, 1), D=(D, 1))
     if t > cap:
         raise CapExceeded(f"oracle census capped at t <= {cap}, got {t}")
-    sizes, runs = _oracle_tally(t)
-    if sizes != {2: count_all(t)}:
-        raise RuntimeError(f"projectivization is not two-to-one at t={t}")
     hist: Counter = Counter()
-    for parts, classes in runs.items():
+    for parts, classes in _oracle_tally(t).items():
         hist[sum(1 for p in parts if p > D)] += classes
     return [
         CensusRow(t, D, n, hist.get(n, 0), "oracle")
@@ -322,7 +306,7 @@ class Table1Row(Value):
     __slots__ = ("family", "t", "D", "n", "exact", "approx")
 
     def __init__(self, family: str, t: int, D: Optional[int], n: Optional[int], exact: int,
-                 approx: Optional[Union[float, Decimal]]):
+                 approx: Optional[Approximation]):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "D", D)
@@ -331,24 +315,19 @@ class Table1Row(Value):
         object.__setattr__(self, "approx", approx)
 
 
-def _approx(value: Union[float, tuple[int, int]]) -> Union[float, Decimal]:
-    """A float as it is, and (m, e) as the Decimal m * 10^e, read exactly."""
-    return value if isinstance(value, float) else Decimal("{}e{}".format(*value))
-
-
 def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
     """The four census families at word length 4t: all reciprocal
     geodesics, the D-low-lying ones, those with 2n depth-1 excursions for
     n = 1..n_max, and those with two depth-D excursions; exact counts next
     to their asymptotic approximations."""
     check_least(t=(t, 1), D=(D, 2), n_max=(n_max, 1))
-    low_lying, two_excursions = map(_approx, growth_approximations(t, D))
+    low_lying, two_excursions = growth_approximations(t, D)
     return [
         Table1Row("all", t, None, None, count_all(t), None),
         Table1Row("low_lying", t, D, None, count_bounded(t, D), low_lying),
         *(
             Table1Row("depth_one", t, 1, n, math.comb(t, 2 * n),
-                      _approx(rounded_ratio(t ** (2 * n), math.factorial(2 * n))))
+                      rounded_ratio(t ** (2 * n), math.factorial(2 * n)))
             for n in range(1, n_max + 1)
         ),
         Table1Row("two_excursions", t, D, 1, count_exact_excursions(t, 1, D), two_excursions),

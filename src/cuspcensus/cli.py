@@ -548,9 +548,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Run one subcommand.  Exit status: 0 when it ran (also when the
     reader of stdout closed it early, as `| head` does), 1 when a
     verification suite failed, 2 on a usage or input error, when a
-    certified value could not be resolved (PrecisionExhausted), or when the
-    output could not be written.  Every flag is checked before --out is
-    opened, so an input error leaves an existing --out file as it was."""
+    certified value could not be resolved (PrecisionExhausted), when memory
+    ran out, or when the output could not be written.  Every flag is
+    checked before --out is opened, so an input error leaves an existing
+    --out file as it was."""
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
@@ -566,6 +567,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return code
     except (ValueError, PrecisionExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # str() of a MemoryError is usually empty, so the line names it
+        print("error: out of memory", file=sys.stderr)
         return 2
     except OSError as exc:
         # nothing more can be written; point the output at the null device

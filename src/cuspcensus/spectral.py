@@ -49,6 +49,7 @@ import functools
 import itertools
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, TypeVar, Union
 
@@ -391,15 +392,15 @@ def _power(base: int, t: int, bits: int, up: bool) -> int:
 #: significant decimal digits of an approximation beyond the float range
 RATIO_DPS = 50
 
-Approximation = Union[float, tuple[int, int]]
+Approximation = Union[float, Decimal]
 
 
 def rounded_ratio(num: int, den: int) -> Approximation:
     """num/den > 0 as the nearest double or, beyond the normal float range,
-    as (m, e): m * 10^e is its nearest value of RATIO_DPS significant
+    as the Decimal m * 10^e, its nearest value of RATIO_DPS significant
     digits, a tie rounded up.  A double below sys.float_info.min keeps
     fewer significant bits, so a quotient whose nearest double lies there
-    is (m, e) too, with e < 0."""
+    is a Decimal too, with e < 0."""
     with contextlib.suppress(OverflowError):
         if (q := num / den) >= sys.float_info.min:
             return q  # int/int division is correctly rounded
@@ -412,7 +413,7 @@ def rounded_ratio(num: int, den: int) -> Approximation:
         # m = floor(num / (den * 10^e) + 1/2), on integers
         a, c = (num, den * 10**e) if e >= 0 else (num * 10**-e, den)
         if (m := (2 * a + c) // (2 * c)) < 10**RATIO_DPS:
-            return m, e
+            return Decimal(f"{m}e{e}")
         e += 1
 
 

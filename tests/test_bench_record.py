@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 spec = importlib.util.spec_from_file_location("bench_record", TOOL)
 bench_record = importlib.util.module_from_spec(spec)
@@ -97,3 +99,17 @@ def test_each_checkout_warms_up_once_outside_the_summaries(tmp_path):
         assert peak["parent"] == peak["change"] == {"q1": 20.0, "median": 20.0, "q3": 20.0}
         assert workload["metrics"]["first_output_s"]["parent"]["q1"] == 1.25
         assert workload["metrics"]["first_output_s"]["pairs"] == 2
+
+
+def test_pairs_below_one_are_refused_before_any_run(tmp_path, capsys):
+    parent = checkout(tmp_path / "parent", 1.0, 3)
+    change = checkout(tmp_path / "change", 0.5, 2)
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--workloads", "verify", "--pairs", "0", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(argv)
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    # not even a warm-up ran, and nothing was written
+    assert not (parent / "warm").exists() and not (change / "warm").exists()
+    assert not out.exists()

@@ -400,6 +400,21 @@ def test_precision_exhausted_exits_two(monkeypatch):
     assert err == "error: limit constant did not converge\n"
 
 
+def test_memory_error_exits_two_with_one_error_line(monkeypatch):
+    # running out of memory is not a failed suite: exit 2 and one named
+    # error line in place of a traceback; the kernel raises, allocating
+    # nothing
+    import cuspcensus.cli as cli
+
+    def exhausted(kind, parameter, tol=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "limit_constant", exhausted)
+    code, _, err = run(["constants", "--D", "3"])
+    assert code == 2
+    assert err == "error: out of memory\n"
+
+
 def test_zero_tolerance_is_legal():
     # zero tolerance is a strict request, not an input error: the suite
     # runs and reports its checks

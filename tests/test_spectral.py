@@ -319,9 +319,27 @@ def test_closed_form_route_does_not_reach_the_dp():
 
 def test_spectral_has_one_arithmetic():
     # the term report runs on the dyadic intervals of the bounds, not on a
-    # second, decimal arithmetic
-    imported = _spectral_imports()
-    assert not {name for name in imported if name.split(".")[0] == "decimal"}, imported
+    # second, decimal arithmetic: spectral takes only Decimal from decimal,
+    # and builds one in one place, as the digits rounded_ratio returns
+    tree = _spectral_tree()
+    taken = [
+        (getattr(node, "module", None), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if "decimal" in (getattr(node, "module", None), alias.name)
+    ]
+    assert taken == [("decimal", "Decimal")]
+    built = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Decimal"
+    ]
+    rounded = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "rounded_ratio"
+    )
+    returned = [node.value for node in ast.walk(rounded) if isinstance(node, ast.Return)]
+    assert len(built) == 1 and any(node is built[0] for node in returned)
 
 
 def test_spectral_builds_fractions_only_for_returned_values():
@@ -482,7 +500,12 @@ def fifty_digits(num, den):
     """Reference for rounded_ratio beyond the float range: one division
     in a 50-digit decimal context, rounding half up as rounded_ratio does."""
     exact = Context(prec=50, rounding=ROUND_HALF_UP).divide(Decimal(num), Decimal(den))
-    sign, digits, exponent = exact.as_tuple()
+    return digits_and_exponent(exact)
+
+
+def digits_and_exponent(value):
+    """The significand and exponent of a Decimal, as integers."""
+    sign, digits, exponent = value.as_tuple()
     return int("".join(map(str, digits))), exponent
 
 
@@ -496,8 +519,9 @@ def test_rounded_ratio_is_the_nearest_double_or_fifty_digits(num, den):
     if num < FLOAT_END * den:
         assert value == float(Fraction(num, den))
     else:
-        assert value == fifty_digits(num, den)
-        assert 10**49 <= value[0] < 10**50
+        m, e = digits_and_exponent(value)
+        assert (m, e) == fifty_digits(num, den)
+        assert 10**49 <= m < 10**50
 
 
 @example(10**308, math.factorial(308))  # table1 --t 10 --D 2 --n 154 at depth one
@@ -512,7 +536,7 @@ def test_rounded_ratio_below_the_normal_range_keeps_fifty_digits(num, den):
     if float(exact) >= sys.float_info.min:
         assert value == float(exact)
     else:
-        m, e = value
+        m, e = digits_and_exponent(value)
         assert 10**49 <= m < 10**50
         assert m == math.floor(exact / Fraction(10) ** e + Fraction(1, 2))
 

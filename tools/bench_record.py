@@ -105,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     benchmarks = {}
     for side, checkout in checkouts.items():
