@@ -28,7 +28,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._contract import Value, check_least
 from .compositions import (
@@ -340,67 +340,97 @@ def table1(t: int, D: int, n_max: int = 3) -> list[Table1Row]:
 # full battery stays within interactive runtimes at its defaults.  A size
 # below its least value would leave a suite with no check, or an empty
 # range, to pass on, so it is rejected by name.
+#
+# SUITES maps each name to the suite's checks function.  Like census_rows,
+# it checks its sizes and caps at the call, before any check is computed,
+# and returns an iterator over the suite's Checks in order, each computed
+# as it is read, so the CLI writes a check's line as soon as it is
+# decided.  suite_<name> takes the same arguments and returns the checks
+# collected into VerificationReport(name, ...).
 
 
-def suite_bijection(t_max: int = 14) -> VerificationReport:
+def _checks(steps):
+    """The checks function of the generator function steps, whose first
+    yield is a bare one, after the checks of its sizes and caps: the call
+    runs the generator to that yield, so a bad size is refused there, and
+    returns it with the suite's Checks still to come."""
+
+    @functools.wraps(steps)
+    def checks(*args, **kwargs) -> Iterator[Check]:
+        started = steps(*args, **kwargs)
+        next(started)
+        return started
+
+    return checks
+
+
+def _report(name: str, checks):
+    """suite_<name>: checks, with its arguments and docstring, returning
+    VerificationReport(name, tuple(checks(...)))."""
+
+    @functools.wraps(checks)
+    def suite(*args, **kwargs) -> VerificationReport:
+        return VerificationReport(name, tuple(checks(*args, **kwargs)))
+
+    suite.__name__ = suite.__qualname__ = f"suite_{name.replace('-', '_')}"
+    suite.__annotations__ = {**checks.__annotations__, "return": "VerificationReport"}
+    return suite
+
+
+@_checks
+def bijection_checks(t_max: int = 14) -> Iterator[Check]:
     """Normal forms at every t <= t_max pair up two-to-one under cyclic
     conjugacy into 2^{t-1} classes."""
     check_least(t_max=(t_max, 1))
     if t_max > CONJUGACY_CAP:
         raise CapExceeded(f"conjugacy grouping is capped at t <= {CONJUGACY_CAP}")
-    checks = []
+    yield
     for t in range(1, t_max + 1):
         sizes = conjugacy_class_sizes(t)
-        checks.append(
-            _within("conjugacy_class_count", (t,), len(sizes), count_all(t), 0)
-        )
+        yield _within("conjugacy_class_count", (t,), len(sizes), count_all(t), 0)
         off = sum(1 for v in sizes.values() if v != 2)
-        checks.append(_within("classes_not_of_size_two", (t,), off, 0, 0))
-    return VerificationReport("bijection", tuple(checks))
+        yield _within("classes_not_of_size_two", (t,), off, 0, 0)
 
 
-def suite_partition(
+@_checks
+def partition_checks(
     t_max: int = 20, d_max: int = 5, oracle_max_t: int = DEFAULT_ORACLE_CAP
-) -> VerificationReport:
+) -> Iterator[Check]:
     """Census rows partition the 2^{t-1} geodesics, and both DP routes
     match the tuple-space oracle cell by cell for t <= oracle_max_t: the
     point rows of excursion_census and the kernel's rows, one pass of
     census_rows per D."""
     check_least(t_max=(t_max, 1), d_max=(d_max, 1), oracle_max_t=(oracle_max_t, 1))
-    checks = []
+    yield
     cell = operator.attrgetter("t", "D", "n", "count")
     for D in range(1, d_max + 1):
         for t, kernel_row in census_rows(1, t_max, D):
             rows = excursion_census(t, D)
-            checks.append(
-                _within(
-                    "row_sum", (t, D), sum(r.count for r in rows), count_all(t), 0
-                )
-            )
+            yield _within("row_sum", (t, D), sum(r.count for r in rows), count_all(t), 0)
             if t <= oracle_max_t:
                 oracle = oracle_census(t, D, cap=oracle_max_t)
                 mismatches = _mismatches(map(cell, rows), map(cell, oracle))
                 mismatches += _mismatches(kernel_row, (r.count for r in oracle))
-                checks.append(_within("dp_vs_oracle_cells", (t, D), mismatches, 0, 0))
-    return VerificationReport("partition", tuple(checks))
+                yield _within("dp_vs_oracle_cells", (t, D), mismatches, 0, 0)
 
 
-def suite_closed_form(t_max: int = 500, d_max: int = 12) -> VerificationReport:
+@_checks
+def closed_form_checks(t_max: int = 500, d_max: int = 12) -> Iterator[Check]:
     """rnd(d_D alpha_D^t) equals the exact bounded count everywhere."""
     check_least(t_max=(t_max, 0), d_max=(d_max, 2))
-    checks = []
+    yield
     for D in range(2, d_max + 1):
         mismatches = sum(
             1 for t, count in census_column(0, t_max, 0, D)
             if closed_form_count(t, D) != count
         )
-        checks.append(_within("closed_form_mismatches", (D, t_max), mismatches, 0, 0))
-    return VerificationReport("closed-form", tuple(checks))
+        yield _within("closed_form_mismatches", (D, t_max), mismatches, 0, 0)
 
 
-def suite_double_sum(
+@_checks
+def double_sum_checks(
     t_max: int = 300, d_max: int = 8, bounds_t_max: int = 200, bounds_d_max: int = 6
-) -> VerificationReport:
+) -> Iterator[Check]:
     """The positional double sum reproduces the one-excursion census, and
     the closed-form estimates sandwich it.  The census and the double sums
     are each read one column per D; a t where two columns do not line up
@@ -409,12 +439,12 @@ def suite_double_sum(
         t_max=(t_max, 1), d_max=(d_max, 2),
         bounds_t_max=(bounds_t_max, 1), bounds_d_max=(bounds_d_max, 2),
     )
-    checks = []
+    yield
     for D in range(2, d_max + 1):
         mismatches = _mismatches(
             census_column(1, t_max, 1, D), two_excursion_column(1, t_max, D)
         )
-        checks.append(_within("double_sum_mismatches", (D, t_max), mismatches, 0, 0))
+        yield _within("double_sum_mismatches", (D, t_max), mismatches, 0, 0)
     for D in range(2, bounds_d_max + 1):
         pairs = zip_longest(
             census_column(1, bounds_t_max, 1, D),
@@ -425,10 +455,7 @@ def suite_double_sum(
             if cell is None or bound is None or cell[0] != bound[0]
             or not bound[1] <= cell[1] <= bound[2]
         )
-        checks.append(
-            _within("sandwich_violations", (D, bounds_t_max), violations, 0, 0)
-        )
-    return VerificationReport("double-sum", tuple(checks))
+        yield _within("sandwich_violations", (D, bounds_t_max), violations, 0, 0)
 
 
 def _binomial_row(t: int) -> list[int]:
@@ -442,41 +469,43 @@ def _binomial_row(t: int) -> list[int]:
     return row + row[: t - t // 2][::-1]
 
 
-def suite_thm32(
+@_checks
+def thm32_checks(
     exact_t_max: int = 1000,
     t_list: Sequence[int] = (1000, 10000, 100000),
     tolerance: Fraction = Fraction(1, 1000),
-) -> VerificationReport:
+) -> Iterator[Check]:
     """Depth-1 census equals C(t,2n) exactly, with the normalized ratio
     converging to 1/(2n)!.  The exact sweep compares each kernel row with
     the even entries of the binomial row of t; a row of the wrong length
     counts its missing or extra cells as mismatches."""
     check_least(exact_t_max=(exact_t_max, 1))
     _check_t_list(t_list)
-    checks = []
+    yield
     mismatches = 0
     for t, row in census_rows(1, exact_t_max, 1):
         mismatches += _mismatches(row, _binomial_row(t)[::2])
-    checks.append(
-        _within("depth1_exact_sweep_mismatches", (exact_t_max,), mismatches, 0, 0)
-    )
+    yield _within("depth1_exact_sweep_mismatches", (exact_t_max,), mismatches, 0, 0)
     for n in (1, 2, 3):
-        checks.extend(verify_theorem_2n_depth1(n, t_list, tolerance).checks)
-    return VerificationReport("thm32", tuple(checks))
+        yield from verify_theorem_2n_depth1(n, t_list, tolerance).checks
 
 
-def suite_thm34(
+@_checks
+def thm34_checks(
     d_list: Sequence[int] = (2, 3, 4),
     t_list: Sequence[int] = (500, 1000, 2000),
     tolerance: Fraction = Fraction(1, 50),
-) -> VerificationReport:
+) -> Iterator[Check]:
     """Convergence of the one-excursion count to its t alpha^t asymptote."""
     if not d_list:
         raise ValueError("d_list must be nonempty")
-    checks = []
+    # what verify_theorem_two_excursions checks of each D, checked at the call
     for D in d_list:
-        checks.extend(verify_theorem_two_excursions(D, t_list, tolerance).checks)
-    return VerificationReport("thm34", tuple(checks))
+        check_least(D=(D, 2))
+    _check_t_list(t_list)
+    yield
+    for D in d_list:
+        yield from verify_theorem_two_excursions(D, t_list, tolerance).checks
 
 
 def _fit_drift(rows: Sequence[tuple], index: int) -> tuple[float, float]:
@@ -493,10 +522,11 @@ def _fit_drift(rows: Sequence[tuple], index: int) -> tuple[float, float]:
     return slope * (ts[-1] - ts[0]), ybar
 
 
-def suite_lemma33(
+@_checks
+def lemma33_checks(
     D: int = 2, t_ref: int = 500, t_max: int = 2000,
     tolerance: Fraction = Fraction(1, 50),
-) -> VerificationReport:
+) -> Iterator[Check]:
     """The dominant term tracks its t alpha^t asymptote and the two cross
     terms stay bounded: their fitted drift over the tail is zero within
     noise.  The reference t_ref lies in 1..t_max, and t_max is at least
@@ -505,35 +535,29 @@ def suite_lemma33(
     check_least(D=(D, 2), t_ref=(t_ref, 1), t_max=(t_max, 2 * D))
     if t_ref > t_max:
         raise ValueError(f"t_ref must be <= t_max = {t_max}, got {t_ref}")
+    yield
     rep = excursion_term_report(D, t_max)
-    checks = []
     ratio_ref = rep.rows[t_ref - 1][1]
-    checks.append(
-        _within(
-            "term1_ratio_at_reference", (D, t_ref),
-            ratio_ref, rep.term1_limit, tolerance, relative=True,
-        )
+    yield _within(
+        "term1_ratio_at_reference", (D, t_ref),
+        ratio_ref, rep.term1_limit, tolerance, relative=True,
     )
     tail = rep.rows[t_max // 2 :]
     for label, index in (("term2", 2), ("term3", 3)):
         drift, mean = _fit_drift(tail, index)
-        checks.append(
-            _within(
-                f"{label}_tail_drift", (D, t_max // 2, t_max),
-                drift, 0, 1e-6 * mean,
-            )
+        yield _within(
+            f"{label}_tail_drift", (D, t_max // 2, t_max), drift, 0, 1e-6 * mean,
         )
         growth = rep.rows[-1][index] / rep.rows[t_max // 2][index] - 1
-        checks.append(
-            _within(f"{label}_tail_growth", (D, t_max // 2, t_max), growth, 0, 1e-9)
-        )
-    return VerificationReport("lemma33", tuple(checks))
+        yield _within(f"{label}_tail_growth", (D, t_max // 2, t_max), growth, 0, 1e-9)
 
 
-def suite_matrices(t_max: int = 12) -> VerificationReport:
+@_checks
+def matrices_checks(t_max: int = 12) -> Iterator[Check]:
     """Generator relations, parabolicity of ab, and hyperbolicity plus the
     involution factorization of every normal form."""
     check_least(t_max=(t_max, 1))
+    yield
     from .matrices import (
         GEN_A, GEN_B, PSL2Element, classify, evaluate, factors_through_involution,
     )
@@ -541,14 +565,12 @@ def suite_matrices(t_max: int = 12) -> VerificationReport:
 
     a = PSL2Element.of(GEN_A)
     b = PSL2Element.of(GEN_B)
-    checks = [
-        _within("a_squared_is_identity", (), int((a * a).is_identity()), 1, 0),
-        _within("b_cubed_is_identity", (), int((b * b * b).is_identity()), 1, 0),
-        _within(
-            "ab_is_parabolic", (),
-            int(classify(evaluate(GroupWord.from_string("ab"))) == "parabolic"), 1, 0,
-        ),
-    ]
+    yield _within("a_squared_is_identity", (), int((a * a).is_identity()), 1, 0)
+    yield _within("b_cubed_is_identity", (), int((b * b * b).is_identity()), 1, 0)
+    yield _within(
+        "ab_is_parabolic", (),
+        int(classify(evaluate(GroupWord.from_string("ab"))) == "parabolic"), 1, 0,
+    )
     for t in range(1, t_max + 1):
         bad = 0
         for letters in normal_form_letters(t):
@@ -557,17 +579,25 @@ def suite_matrices(t_max: int = 12) -> VerificationReport:
             w = evaluate(word)
             if classify(w) != "hyperbolic" or not factors_through_involution(word, w):
                 bad += 1
-        checks.append(_within("non_reciprocal_normal_forms", (t,), bad, 0, 0))
-    return VerificationReport("matrices", tuple(checks))
+        yield _within("non_reciprocal_normal_forms", (t,), bad, 0, 0)
 
 
 SUITES = {
-    "bijection": suite_bijection,
-    "partition": suite_partition,
-    "closed-form": suite_closed_form,
-    "double-sum": suite_double_sum,
-    "thm32": suite_thm32,
-    "thm34": suite_thm34,
-    "lemma33": suite_lemma33,
-    "matrices": suite_matrices,
+    "bijection": bijection_checks,
+    "partition": partition_checks,
+    "closed-form": closed_form_checks,
+    "double-sum": double_sum_checks,
+    "thm32": thm32_checks,
+    "thm34": thm34_checks,
+    "lemma33": lemma33_checks,
+    "matrices": matrices_checks,
 }
+
+suite_bijection = _report("bijection", bijection_checks)
+suite_partition = _report("partition", partition_checks)
+suite_closed_form = _report("closed-form", closed_form_checks)
+suite_double_sum = _report("double-sum", double_sum_checks)
+suite_thm32 = _report("thm32", thm32_checks)
+suite_thm34 = _report("thm34", thm34_checks)
+suite_lemma33 = _report("lemma33", lemma33_checks)
+suite_matrices = _report("matrices", matrices_checks)

@@ -16,14 +16,14 @@ column each, and enumerate hands it the compositions a chunk at a time,
 each record's signs and word spelled from its parts as strings.  One
 pass over a block's keys encodes its shared values into a record
 template, and the block is written in slices of a fixed number of
-records, each encoded column-wise as one string.  Json-lines and csv records are written as
-they are emitted, so `verify` prints each suite as it finishes, and the
-lines of the suites before one that fails with exit 2 are already
-written; the table's records go to a spool that moves to a temporary
-file beyond a fixed size (tempfile is imported when the first spool
-opens, as no other format needs it), and at the end it is read back a
-slice at a time, once for the column widths and once to pad the cells a
-column at a time.
+records, each encoded column-wise as one string.  Json-lines and csv
+records are written as they are emitted, and `verify` flushes each
+check's line as soon as the check is decided, so the lines of the checks
+before one that stops with exit 2 are already written; the table's
+records go to a spool that moves to a temporary file beyond a fixed size
+(tempfile is imported when the first spool opens, as no other format
+needs it), and at the end it is read back a slice at a time, once for
+the column widths and once to pad the cells a column at a time.
 """
 
 from __future__ import annotations
@@ -400,12 +400,13 @@ def _cmd_verify(args, emitter: Emitter) -> int:
                "thm32": tolerance, "thm34": tolerance, "lemma33": tolerance}
     all_passed = True
     for name in names:
-        report = SUITES[name](**options.get(name, {}))
-        for check in report.checks:
+        # each check is computed as it is read and emitted at once: json-lines
+        # and csv write its line then, the table at close
+        for check in SUITES[name](**options.get(name, {})):
             all_passed &= check.passed
             emitter.emit(
                 {
-                    "suite": report.name,
+                    "suite": name,
                     "check": check.name,
                     "parameters": ":".join(map(str, check.parameters)) or "-",
                     "status": "pass" if check.passed else "FAIL",
@@ -416,8 +417,9 @@ def _cmd_verify(args, emitter: Emitter) -> int:
                     + ("-relative" if check.relative else ""),
                 }
             )
-        # stdout to a pipe is block-buffered: pass each suite on when it ends
-        emitter.out.flush()
+            # stdout to a pipe is block-buffered: pass the line on as soon as
+            # its check is decided
+            emitter.out.flush()
     return 0 if all_passed else 1
 
 

@@ -486,6 +486,8 @@ def test_conjugacy_class_sizes():
         conjugacy_class_sizes(15)
     with pytest.raises(CapExceeded):
         suite_bijection(15)
+    with pytest.raises(CapExceeded):
+        SUITES["bijection"](15)
 
 
 def test_conjugacy_class_sizes_returns_a_copy():
@@ -674,23 +676,41 @@ def test_suite_registry_names():
     }
 
 
+SUITE_FUNCTIONS = {
+    "bijection": suite_bijection,
+    "partition": suite_partition,
+    "closed-form": suite_closed_form,
+    "double-sum": suite_double_sum,
+    "thm32": suite_thm32,
+    "thm34": suite_thm34,
+    "lemma33": suite_lemma33,
+    "matrices": suite_matrices,
+}
+
+REDUCED_SCALES = {
+    "bijection": dict(t_max=6),
+    "partition": dict(t_max=8, d_max=3, oracle_max_t=8),
+    "closed-form": dict(t_max=60, d_max=6),
+    "double-sum": dict(t_max=60, d_max=4, bounds_t_max=40, bounds_d_max=4),
+    "thm32": dict(exact_t_max=100, t_list=(1000, 10000), tolerance=Fraction(1, 100)),
+    "thm34": dict(d_list=(2,), t_list=(250, 500), tolerance=Fraction(1, 20)),
+    "lemma33": dict(t_ref=400, t_max=800, tolerance=Fraction(1, 25)),
+    "matrices": dict(t_max=6),
+}
+
+
 def test_suites_pass_at_reduced_scales():
-    assert suite_bijection(6).passed
-    assert suite_partition(t_max=8, d_max=3, oracle_max_t=8).passed
-    assert suite_closed_form(t_max=60, d_max=6).passed
-    assert suite_double_sum(t_max=60, d_max=4, bounds_t_max=40, bounds_d_max=4).passed
-    assert suite_thm32(
-        exact_t_max=100, t_list=(1000, 10000), tolerance=Fraction(1, 100)
-    ).passed
-    assert suite_thm34(d_list=(2,), t_list=(250, 500), tolerance=Fraction(1, 20)).passed
-    assert suite_lemma33(t_ref=400, t_max=800, tolerance=Fraction(1, 25)).passed
-    assert suite_matrices(t_max=6).passed
+    for name, kwargs in REDUCED_SCALES.items():
+        report = SUITE_FUNCTIONS[name](**kwargs)
+        assert report.passed, name
+        # the report is its checks function's checks, collected under its name
+        assert report == VerificationReport(name, tuple(SUITES[name](**kwargs))), name
 
 
-# every callable of cuspcensus.__all__ and SUITES that takes a size, each
+# every callable of cuspcensus.__all__ and every suite that takes a size, each
 # size just below its least value; never ZeroDivisionError, IndexError or
 # decimal.InvalidOperation, which are not ValueErrors
-@pytest.mark.parametrize("entry, kwargs, name", [
+SIZE_ERRORS = [
     (suite_bijection, dict(t_max=0), "t_max"),
     (suite_partition, dict(t_max=0), "t_max"),
     (suite_partition, dict(d_max=0), "d_max"),
@@ -754,10 +774,26 @@ def test_suites_pass_at_reduced_scales():
     (bounds_two_excursions_range, dict(t_lo=1, t_hi=3, D=1), "D"),
     (excursion_term_report, dict(D=1, t_max=5), "D"),
     (excursion_term_report, dict(D=2, t_max=0), "t_max"),
-])
+]
+
+
+@pytest.mark.parametrize("entry, kwargs, name", SIZE_ERRORS)
 def test_suites_reject_a_size_that_leaves_nothing_to_check(entry, kwargs, name):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
         entry(**kwargs)
+
+
+SUITE_NAMES = {suite: name for name, suite in SUITE_FUNCTIONS.items()}
+
+
+# the suite rows above, through the checks function each suite collects:
+# the size is refused at the call, before any check is asked for
+@pytest.mark.parametrize(
+    "suite, kwargs, name", [row for row in SIZE_ERRORS if row[0] in SUITE_NAMES]
+)
+def test_checks_functions_reject_a_bad_size_at_the_call(suite, kwargs, name):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
+        SUITES[SUITE_NAMES[suite]](**kwargs)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

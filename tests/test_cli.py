@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -849,33 +850,88 @@ def test_constants_certify_both_rows_to_the_printed_digits(D):
         assert 0 < width <= Fraction(2, 10**60), kind
 
 
-def fake_suites(monkeypatch, failing=()):
-    """Replace every verification suite with a one-check fake; return the
-    log of (name, keywords, stdout so far) for each call."""
-    import cuspcensus.cli as cli
-    from cuspcensus.census import SUITES, Check, VerificationReport
+class FlushLog(io.StringIO):
+    """A stdout that keeps the text written up to its last flush."""
 
-    calls = []
+    flushed = ""
+
+    def flush(self):
+        super().flush()
+        self.flushed = self.getvalue()
+
+
+def fake_suites(monkeypatch, failing=(), size=1):
+    """Replace every verification suite with a generator of `size` fake
+    checks, which fail for the suites named in failing.  Return its log:
+    calls holds (name, keywords) as each suite starts, and asked holds
+    (name, k, the text flushed to stdout so far) as check k is asked for."""
+    import cuspcensus.cli as cli
+    from cuspcensus.census import SUITES, Check
+
+    log = SimpleNamespace(calls=[], asked=[])
 
     def fake(name):
-        def suite(**kwargs):
-            calls.append((name, kwargs, sys.stdout.getvalue()))
-            check = Check("fake", (1,), 0, 0, 0, False, "within", name not in failing)
-            return VerificationReport(name, (check,))
-        return suite
+        def checks(**kwargs):
+            log.calls.append((name, kwargs))
+            for k in range(size):
+                log.asked.append((name, k, getattr(sys.stdout, "flushed", None)))
+                yield Check("fake", (k,), 0, 0, 0, False, "within", name not in failing)
+        return checks
 
     monkeypatch.setattr(cli, "SUITES", {name: fake(name) for name in SUITES})
-    return calls
+    return log
 
 
-def test_verify_writes_each_suite_before_the_next_starts(monkeypatch):
-    calls = fake_suites(monkeypatch, failing={"thm32"})
-    code, out, _ = run(["verify", "--suite", "all", "--format", "json-lines"])
-    assert code == 1
-    lines = out.splitlines()
-    assert [json.loads(line)["suite"] for line in lines] == [name for name, _, _ in calls]
-    for i, (_, _, seen) in enumerate(calls):
-        assert seen.splitlines() == lines[:i]
+@pytest.mark.parametrize("fmt", ["json-lines", "csv"])
+def test_verify_flushes_each_check_before_the_next_starts(monkeypatch, fmt):
+    log = fake_suites(monkeypatch, failing={"thm32"}, size=3)
+    out, err = FlushLog(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", "--suite", "all", "--format", fmt])
+    assert (code, err.getvalue()) == (1, "")
+    header = 1 if fmt == "csv" else 0
+    lines = out.getvalue().splitlines()
+    records = [json.loads(line) for line in lines] if fmt == "json-lines" else [
+        dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]
+    ]
+    assert [(r["suite"], r["parameters"]) for r in records] == [
+        (name, str(k)) for name, k, _ in log.asked
+    ]
+    assert len(records) == 3 * len(SUITES)
+    # asked for check i, the lines of checks 0..i-1 are all flushed, and
+    # nothing more (a csv header goes out with the first line)
+    for i, (_, _, flushed) in enumerate(log.asked):
+        assert flushed.splitlines() == (lines[: header + i] if i else [])
+    assert out.flushed == out.getvalue()
+
+
+def test_verify_stops_when_the_reader_closes_early(monkeypatch, tmp_path):
+    log = fake_suites(monkeypatch, size=3)
+
+    class ClosedAfterOneLine(io.StringIO):
+        """A pipe whose reader goes away once it has one line, as
+        `| head -n 1` does."""
+
+        def flush(self):
+            if self.getvalue():
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            # main points the broken output at the null device, by its fd
+            return sink
+
+    sink = os.open(tmp_path / "sink", os.O_WRONLY | os.O_CREAT)
+    out, err = ClosedAfterOneLine(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", "--suite", "all", "--format", "json-lines"])
+    finally:
+        os.close(sink)
+    assert (code, err.getvalue()) == (0, "")
+    assert len(out.getvalue().splitlines()) == 1
+    # nothing past the check whose line could not be passed on is computed
+    assert log.calls == [("bijection", {})]
+    assert [(name, k) for name, k, _ in log.asked] == [("bijection", 0)]
 
 
 @pytest.mark.parametrize("extra, tolerance", [
@@ -883,7 +939,7 @@ def test_verify_writes_each_suite_before_the_next_starts(monkeypatch):
     (["--tolerance", "1/3"], {"tolerance": Fraction(1, 3)}),
 ])
 def test_verify_passes_each_suite_its_options(monkeypatch, extra, tolerance):
-    calls = fake_suites(monkeypatch)
+    log = fake_suites(monkeypatch)
     code, _, _ = run(["verify", "--oracle-max-t", "7", "--format", "csv", *extra])
     assert code == 0
     expected = dict.fromkeys(
@@ -891,4 +947,4 @@ def test_verify_passes_each_suite_its_options(monkeypatch, extra, tolerance):
     ) | {"partition": {"oracle_max_t": 7}} | dict.fromkeys(
         ["thm32", "thm34", "lemma33"], tolerance
     )
-    assert {name: kwargs for name, kwargs, _ in calls} == expected
+    assert dict(log.calls) == expected
